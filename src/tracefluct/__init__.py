@@ -11,10 +11,10 @@ from .combinatorics import (
     flat_profile,
     flat_weight_bound,
     flat_weight_count,
-    no_flat_closed_paths,
     path_range,
     profile_count,
     profile_counts,
+    profile_windows,
     same_level_pair_count,
     single_flat_count,
 )

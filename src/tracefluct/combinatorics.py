@@ -231,69 +231,82 @@ def enumerate_closed_paths(k: int, cap: int | None = None) -> Iterator[LatticePa
     yield from rec(0, k)
 
 
-def no_flat_closed_paths(k: int, cap: int | None = None) -> Iterator[LatticePath]:
-    """Yield the closed length-k paths without flat steps (empty for odd k)."""
-    if k < 0:
-        raise ValueError("path length must be >= 0")
-    _check_cap(k, cap)
-    steps: list[int] = []
+@dataclass(frozen=True)
+class ProfileWindows:
+    """Closed paths of one canonical profile, counted by their reach past the flats.
 
-    def rec(level: int, remaining: int):
-        if remaining == 0:
-            if level == 0:
-                yield LatticePath(tuple(steps))
-            return
-        for s in (UP, DOWN):
-            if abs(level + s) <= remaining - 1:
-                steps.append(s)
-                yield from rec(level + s, remaining - 1)
-                steps.pop()
+    ``below[d]`` counts the paths whose lowest level lies ``d`` levels
+    under their lowest flat step; ``above[d]`` counts those whose highest
+    level lies ``d`` levels over their highest flat step.  A flat-free
+    path measures both depths from the origin, so its level range is
+    their sum.  Placed on a finite chain, a path leaves it exactly when
+    one of these depths reaches past the edge, which is what clips the
+    edge-window coefficients.
+    """
 
-    yield from rec(0, k)
+    count: int
+    below: tuple[int, ...]
+    above: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _profile_table(k: int) -> dict[tuple[tuple[int, int], ...], int]:
-    """Count closed length-k paths per canonical flat profile (pairs key)."""
-    table: dict[tuple[tuple[int, int], ...], int] = {}
+def _profile_table(k: int) -> dict[tuple[tuple[int, int], ...], ProfileWindows]:
+    """One walk over the closed length-k paths, grouped by canonical flat profile (pairs key)."""
+    # leaves only bump a raw (sorted flat levels, min level, max level) key;
+    # canonicalising and the depth histograms wait for the few distinct keys
+    raw: dict[tuple[tuple[int, ...], int, int], int] = {}
     flats: list[int] = []
 
-    def rec(level: int, remaining: int) -> None:
+    def rec(level: int, remaining: int, lo: int, hi: int) -> None:
         if remaining == 0:
             if level == 0:
-                if flats:
-                    cnt = Counter(flats)
-                    base = min(cnt)
-                    key = tuple(sorted((h - base, c) for h, c in cnt.items()))
-                else:
-                    key = ()
-                table[key] = table.get(key, 0) + 1
+                key = (tuple(sorted(flats)), lo, hi)
+                raw[key] = raw.get(key, 0) + 1
             return
-        if abs(level + 1) <= remaining - 1:
-            rec(level + 1, remaining - 1)
-        if abs(level) <= remaining - 1:
+        r = remaining - 1
+        if level + 1 <= r:
+            rec(level + 1, r, lo, max(hi, level + 1))
+        if abs(level) <= r:
             flats.append(level)
-            rec(level, remaining - 1)
+            rec(level, r, lo, hi)
             flats.pop()
-        if abs(level - 1) <= remaining - 1:
-            rec(level - 1, remaining - 1)
+        if level - 1 >= -r:
+            rec(level - 1, r, min(lo, level - 1), hi)
 
-    rec(0, k)
-    return table
+    rec(0, k, 0, 0)
+    depths: dict[tuple[tuple[int, int], ...], tuple[Counter, Counter]] = {}
+    for (levels, lo, hi), n in raw.items():
+        base, top = (levels[0], levels[-1]) if levels else (0, 0)
+        key = tuple((h - base, c) for h, c in Counter(levels).items())
+        below, above = depths.setdefault(key, (Counter(), Counter()))
+        below[base - lo] += n
+        above[hi - top] += n
+    return {
+        key: ProfileWindows(sum(below.values()),
+                            tuple(below[d] for d in range(max(below) + 1)),
+                            tuple(above[d] for d in range(max(above) + 1)))
+        for key, (below, above) in depths.items()
+    }
 
 
 def profile_counts(k: int, cap: int | None = None) -> dict[MultiIndex, int]:
     """All canonical profiles of closed length-k paths with their path counts."""
+    return {beta: w.count for beta, w in profile_windows(k, cap).items()}
+
+
+def profile_windows(k: int, cap: int | None = None) -> dict[MultiIndex, ProfileWindows]:
+    """All canonical profiles of closed length-k paths with their depth histograms."""
     if k < 0:
         raise ValueError("path length must be >= 0")
     _check_cap(k, cap)
-    return {MultiIndex(pairs): n for pairs, n in _profile_table(k).items()}
+    return {MultiIndex(pairs): w for pairs, w in _profile_table(k).items()}
 
 
 def profile_count(k: int, beta: MultiIndex, cap: int | None = None) -> int:
     """Number of closed length-k paths whose flat profile is (canonically) ``beta``."""
     _check_cap(k, cap)
-    return _profile_table(k).get(beta.pairs, 0)
+    w = _profile_table(k).get(beta.pairs)
+    return w.count if w else 0
 
 
 def single_flat_count(k: int) -> int:
@@ -319,7 +332,7 @@ def flat_weight_count(l: int, j: int, cap: int | None = None) -> int:
     if not 0 <= j <= l:
         raise ValueError("flat count j must satisfy 0 <= j <= l")
     _check_cap(l, cap)
-    return sum(n for pairs, n in _profile_table(l).items()
+    return sum(w.count for pairs, w in _profile_table(l).items()
                if sum(c for _, c in pairs) == j)
 
 
@@ -329,12 +342,3 @@ def flat_weight_bound(l: int, j: int) -> int:
         return 0
     return math.comb(l, j) * math.comb(l - j, (l - j) // 2)
 
-
-def no_flat_closed_stats(k: int, cap: int | None = None) -> tuple[int, int]:
-    """(count, summed level range) over the closed no-flat paths of length k."""
-    count = 0
-    total_range = 0
-    for p in no_flat_closed_paths(k, cap):
-        count += 1
-        total_range += p.level_range()
-    return count, total_range

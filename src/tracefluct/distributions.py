@@ -82,8 +82,6 @@ class DistributionSpec:
         if self.kind == "rademacher":
             return Fraction(1)
         if self.kind == "uniform":
-            if self.half_width_sq is not None and m % 2 == 0:
-                return self.moment(m)
             return self.half_width**m / (m + 1)
         if self.kind == "two_point":
             (v1, v2), (p1, p2) = self.values, self.probs

@@ -9,9 +9,13 @@ trace of a power splits, exactly and for every finite N, into
   + placement correction                (multi-site weight collapse)
 
 where ``coeff_j`` sums path counts against moments over the canonical
-weight-j profiles.  Everything here is evaluated without asymptotic
-approximation; the decomposition reproduces the symbolic oracle to
-rounding error and gives an O(N) centering constant for large ensembles.
+weight-j profiles.  Every constant comes from the one path walk in
+:mod:`tracefluct.combinatorics`: profile counts for the interior, and
+the profiles' depth histograms for the flat-free offset and the edge
+windows.  Everything here is evaluated without asymptotic approximation
+and without the symbolic polynomial, which stays an independent oracle;
+the decomposition reproduces it to rounding error and gives an O(N)
+centering constant for large ensembles.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import MultiIndex, no_flat_closed_stats, profile_counts
+from .combinatorics import MultiIndex, _check_cap, profile_counts, profile_windows
 from .distributions import DistributionSpec
 from .series import AnalyticSeries, require_radius
-from .symbolic import DEFAULT_POWER_CAP, TracePolynomial, trace_power_polynomial
 
 _EPS_CUTOFF = 1e-12
 
@@ -50,8 +53,11 @@ def flat_free_constants(k: int) -> tuple[int, int]:
     ``per_site`` is C(k, k/2) for even k, and ``offset`` is minus the
     summed level range over those paths.
     """
-    count, total_range = no_flat_closed_stats(k)
-    return count, -total_range
+    free = profile_windows(k).get(MultiIndex.zero())
+    if free is None:
+        return 0, 0
+    return free.count, -sum(d * n for hist in (free.below, free.above)
+                            for d, n in enumerate(hist))
 
 
 def power_sum_coefficient(k: int, j: int, dist: DistributionSpec):
@@ -80,75 +86,59 @@ def power_partial_sum(n: int, j: int, alpha: float) -> float:
     return math.fsum(i ** (-j * alpha))
 
 
-@lru_cache(maxsize=None)
-def _reference_polynomial(n_ref: int, k: int) -> TracePolynomial:
-    return trace_power_polynomial(n_ref, k, power_cap=max(DEFAULT_POWER_CAP, k),
-                                  site_cap=max(64, n_ref))
+def _placed_weight(beta: MultiIndex, i, alpha: float):
+    """prod_h (i+h)^(-alpha*c_h): the decay weight of ``beta`` placed with lowest site ``i``.
 
-
-def _coefficient_or_zero(poly: TracePolynomial, beta: MultiIndex, iota: int) -> int:
-    if iota < 1 or iota + beta.span > poly.n_sites:
-        return 0
-    return poly.coefficient(beta, iota)
-
-
-def boundary_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
-    """Defect of the edge-window coefficients against pure path counts.
-
-    Sums (coefficient - path count) * E[V^beta] over placements whose
-    lowest site falls outside [k, N-k].  Coefficients near either edge
-    depend only on the distance to that edge once N > 2k, so they are
-    read off a fixed small reference operator; the cost is independent
-    of N.
+    ``i`` is one site or an array of sites.
     """
-    if k == 0:
-        return 0.0
-    if n <= 2 * k:
-        raise ValueError("boundary windows require N > 2k")
-    n_ref = min(n, 2 * k + 2)
-    poly = _reference_polynomial(n_ref, k)
-    shift = n - n_ref
-    parts = []
-    for beta, count in profile_counts(k).items():
+    w = 1.0
+    for h, c in beta.pairs:
+        w = w * (i + h) ** (-alpha * c)
+    return w
+
+
+def _edge_defects(k: int, alpha: float, dist: DistributionSpec, n: int | None = None):
+    """Yield (coefficient - path count) * E[V^beta] * weight over the clipped placements.
+
+    A path of profile beta placed with its lowest flat at site iota leaves
+    [1, N] on the left when its depth below reaches iota, and on the right
+    when its depth above exceeds N - iota - span(beta).  A closed k-path
+    spans at most k/2 levels, so for N > 2k no path is clipped at both
+    edges.  Only the left window is yielded when ``n`` is None.
+    """
+    for beta, win in profile_windows(k).items():
         if beta.weight == 0:
             continue
         ex = dist.moment_product(beta)
         if ex == 0:
             continue
         exf = float(ex)
-        for iota in range(1, k):
-            a = _coefficient_or_zero(poly, beta, iota)
-            if a == count:
-                continue
-            weight = math.prod((iota + h) ** (-alpha * c) for h, c in beta.pairs)
-            parts.append((a - count) * exf * weight)
-        for iota in range(n - k + 1, n + 1):
-            a = _coefficient_or_zero(poly, beta, iota - shift)
-            if a == count:
-                continue
-            weight = math.prod((iota + h) ** (-alpha * c) for h, c in beta.pairs)
-            parts.append((a - count) * exf * weight)
-    return math.fsum(parts)
+        for iota in range(1, len(win.below)):
+            clipped = sum(win.below[iota:])
+            yield -clipped * exf * _placed_weight(beta, iota, alpha)
+        if n is None:
+            continue
+        for iota in range(n - beta.span - len(win.above) + 2, n + 1):
+            clipped = sum(win.above[max(n - iota - beta.span + 1, 0):])
+            yield -clipped * exf * _placed_weight(beta, iota, alpha)
+
+
+def boundary_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
+    """Defect of the edge-window coefficients against pure path counts.
+
+    Sums (coefficient - path count) * E[V^beta] over placements whose
+    lowest site falls outside [k, N-k].  Once N > 2k each edge clips a
+    placement by its distance to that edge alone, so the coefficients are
+    read off the profile depth histograms; the cost is independent of N.
+    """
+    if k and n <= 2 * k:
+        raise ValueError("boundary windows require N > 2k")
+    return math.fsum(_edge_defects(k, alpha, dist, n))
 
 
 def boundary_correction_limit(k: int, alpha: float, dist: DistributionSpec) -> float:
     """Large-N limit of the boundary correction: the left window alone."""
-    if k == 0:
-        return 0.0
-    poly = _reference_polynomial(2 * k + 2, k)
-    parts = []
-    for beta, count in profile_counts(k).items():
-        if beta.weight == 0:
-            continue
-        ex = dist.moment_product(beta)
-        if ex == 0:
-            continue
-        for iota in range(1, k):
-            a = _coefficient_or_zero(poly, beta, iota)
-            if a != count:
-                weight = math.prod((iota + h) ** (-alpha * c) for h, c in beta.pairs)
-                parts.append((a - count) * float(ex) * weight)
-    return math.fsum(parts)
+    return math.fsum(_edge_defects(k, alpha, dist))
 
 
 def placement_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
@@ -168,10 +158,7 @@ def placement_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -
         ex = dist.moment_product(beta)
         if ex == 0:
             continue
-        prod = np.ones(n)
-        for h, c in beta.pairs:
-            prod = prod * (i + h) ** (-alpha * c)
-        diff = prod - i ** (-alpha * beta.weight)
+        diff = _placed_weight(beta, i, alpha) - i ** (-alpha * beta.weight)
         parts.append(count * float(ex) * math.fsum(diff))
     return math.fsum(parts)
 
@@ -210,10 +197,7 @@ def exact_mean_trace_power(n: int, k: int, alpha: float, dist: DistributionSpec)
         ex = dist.moment_product(beta)
         if ex == 0:
             continue
-        prod = np.ones(n)
-        for h, c in beta.pairs:
-            prod = prod * (i + h) ** (-alpha * c)
-        parts.append(count * float(ex) * math.fsum(prod))
+        parts.append(count * float(ex) * math.fsum(_placed_weight(beta, i, alpha)))
     return math.fsum(parts)
 
 
@@ -328,11 +312,7 @@ def series_expansion(series: AnalyticSeries, n: int, alpha: float,
     """
     require_radius(series, dist.bound)
     degree = series.truncation_degree(dist.bound + 2.0, tail_tol, scale=n)
-    if degree > DEFAULT_POWER_CAP:
-        raise ValueError(
-            f"series truncation degree {degree} exceeds the exact-expansion cap "
-            f"of {DEFAULT_POWER_CAP}; loosen tail_tol or use a polynomial"
-        )
+    _check_cap(degree, None)
     tail = series.tail_majorant(degree, dist.bound + 2.0) * n
     coeffs = series.coefficients_upto(degree)
 

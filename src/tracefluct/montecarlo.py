@@ -119,7 +119,6 @@ class EnsembleResult:
     n_grid: tuple[int, ...]
     raw: np.ndarray       # shape (replicas, functions, grid sizes)
     centers: np.ndarray   # shape (functions, grid sizes)
-    coupled: bool = True  # one realisation per replica across the whole grid
 
     def _fi(self, f_label: str) -> int:
         return self.f_labels.index(f_label)
@@ -518,11 +517,6 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
     the case A critical exponent; the tail diverges below it, which the
     report flags instead of asserting convergence).
     """
-    if not result.coupled:
-        raise ValueError(
-            "the size grid is not coupled (replicas differ across sizes); "
-            "convergence of single realisations cannot be measured"
-        )
     if len(result.n_grid) < 2:
         raise ValueError("need at least two grid sizes")
     alpha = result.config.alpha

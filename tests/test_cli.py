@@ -149,6 +149,10 @@ def test_expansion_validation(capsys):
     code, _, err = run_cli(
         ["expansion", "--k", "2", "--alpha", "-1", "--N", "30"], capsys)
     assert code == 2
+    code, _, err = run_cli(
+        ["expansion", "--f", "poly:" + ",".join(["0"] * 15 + ["1"]), "--alpha", "0.5",
+         "--N", "1000"], capsys)
+    assert code == 2 and "cap of 14" in err
 
 
 # ----------------------------------------------------------------- simulate

@@ -1,7 +1,6 @@
 """Path enumeration and profile counting against brute-force oracles."""
 
 import itertools
-import math
 from collections import Counter
 
 import pytest
@@ -19,11 +18,10 @@ from tracefluct.combinatorics import (
     flat_profile,
     flat_weight_bound,
     flat_weight_count,
-    no_flat_closed_paths,
-    no_flat_closed_stats,
     path_range,
     profile_count,
     profile_counts,
+    profile_windows,
     same_level_pair_count,
     single_flat_count,
 )
@@ -162,21 +160,28 @@ def test_enumeration_cap_refuses():
     assert profile_count(5, MultiIndex.delta(), cap=5) == single_flat_count(5)
 
 
-def test_no_flat_enumeration():
-    got = {p.steps for p in no_flat_closed_paths(4)}
-    assert got == {
-        (UP, UP, DOWN, DOWN), (UP, DOWN, UP, DOWN), (UP, DOWN, DOWN, UP),
-        (DOWN, UP, UP, DOWN), (DOWN, UP, DOWN, UP), (DOWN, DOWN, UP, UP),
-    }
-    assert list(no_flat_closed_paths(3)) == []
-
-
 # ------------------------------------------------------------ profile counts
 
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_profile_counts_match_brute_force(k):
     assert profile_counts(k) == brute_force_profile_counts(k)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_profile_windows_match_brute_force(k):
+    below, above = Counter(), Counter()
+    for p in brute_force_closed_paths(k):
+        ys, flats = p.levels(), p.flat_levels() or (0,)
+        below[p.flat_profile(), min(flats) - min(ys)] += 1
+        above[p.flat_profile(), max(ys) - max(flats)] += 1
+    windows = profile_windows(k)
+    assert {beta: w.count for beta, w in windows.items()} == brute_force_profile_counts(k)
+    for beta, w in windows.items():
+        assert w.below == tuple(below[beta, d] for d in range(len(w.below)))
+        assert w.above == tuple(above[beta, d] for d in range(len(w.above)))
+        assert w.below[-1] and w.above[-1]
+    assert sum(below.values()) == sum(above.values()) == closed_path_count(k)
 
 
 def test_profile_count_examples():
@@ -254,12 +259,6 @@ def test_delta_pair_support_bound():
             if beta.weight == 2 and len(beta.pairs) == 2 and n > 0:
                 s = beta.pairs[1][0]
                 assert 1 <= s <= (j - 2) // 2 + 1
-
-
-def test_no_flat_stats():
-    count, total_range = no_flat_closed_stats(4)
-    assert count == math.comb(4, 2) == 6
-    assert total_range == 10  # 2+1+2+2+1+2 over the six paths
 
 
 @settings(max_examples=30, deadline=None)

@@ -323,10 +323,6 @@ def test_convergence_check_subcritical_flagged():
 
 
 def test_convergence_check_requires_coupling():
-    res = run_ensemble(small_config(n_grid=(100, 200)))
-    res.coupled = False
-    with pytest.raises(ValueError, match="coupled"):
-        convergence_check(res)
     with pytest.raises(ValueError, match="two grid sizes"):
         convergence_check(run_ensemble(small_config(n_grid=(100,))))
 
