@@ -118,7 +118,7 @@ class DistributionSpec:
         """Draw n i.i.d. variates, consuming one uniform per index."""
         u = rng.random(n)
         if self.kind == "rademacher":
-            return np.where(u < 0.5, -1.0, 1.0)
+            return 2.0 * (u >= 0.5) - 1.0
         if self.kind == "uniform":
             return (2.0 * u - 1.0) * self.half_width
         if self.kind == "two_point":

@@ -32,7 +32,7 @@ from .combinatorics import (
 )
 from .distributions import DistributionSpec
 from .expansion import exact_mean_trace_power
-from .hamiltonian import derive_seed, sample_potential, trace_moments
+from .hamiltonian import _prefix_trace_moments, derive_seed, sample_potential
 from .series import ALPHA_CRITICAL, AnalyticSeries, require_radius
 
 _SIGMA_MAX_TERMS = 300
@@ -154,8 +154,8 @@ def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple
     n_max = n_grid[-1]
     for r, seed in enumerate(seeds):
         sample = sample_potential(n_max, alpha, dist, seed)
-        for ni, n in enumerate(n_grid):
-            moments = trace_moments(sample.values[:n], k_max)
+        grid_moments = _prefix_trace_moments(sample.values, k_max, n_grid)
+        for ni, moments in enumerate(grid_moments):
             for fi, row in enumerate(coeff_rows):
                 out[r, fi, ni] = math.fsum(
                     c * moments[j] for j, c in enumerate(row) if c != 0.0

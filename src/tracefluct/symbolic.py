@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .combinatorics import (
     MultiIndex,
@@ -139,7 +140,8 @@ class TracePolynomial:
         return len(self.terms)
 
 
-def _path_geometry(k: int, cap: int | None):
+@lru_cache(maxsize=None)
+def _path_geometry(k: int, cap: int | None) -> tuple:
     """Per closed path: (sorted flat (level, count) pairs or None, min level, max level)."""
     out = []
     for p in enumerate_closed_paths(k, cap):
@@ -153,7 +155,7 @@ def _path_geometry(k: int, cap: int | None):
         else:
             pairs = None
         out.append((pairs, min(ys), max(ys)))
-    return out
+    return tuple(out)
 
 
 def trace_power_polynomial(n_sites: int, k: int, power_cap: int | None = None,

@@ -88,6 +88,12 @@ def test_sampling_support_and_moments():
     assert abs(np.mean(xs**2) - 1.0) < 0.01
 
 
+def test_rademacher_sampling_matches_threshold_form():
+    xs = rademacher().sample_xs(np.random.default_rng(2024), 100_001)
+    u = np.random.default_rng(2024).random(100_001)
+    assert np.array_equal(xs, np.where(u < 0.5, -1.0, 1.0))
+
+
 def test_two_point_sampling_frequencies():
     d = two_point(2, Fraction(-1, 2), Fraction(1, 5))
     xs = d.sample_xs(np.random.default_rng(11), 200_000)

@@ -5,6 +5,7 @@ import pytest
 
 from tracefluct.distributions import rademacher, uniform_sqrt3
 from tracefluct.hamiltonian import (
+    _prefix_trace_moments,
     dense_matrix,
     derive_seed,
     eigenvalues,
@@ -86,6 +87,46 @@ def test_trace_moments_vs_dense(n, k_max):
                        rtol=1e-12, atol=1e-12)
 
 
+def _majorant(values, k):
+    """N (2 + max|V|)^k bounds every term of Tr H^k; tolerances scale with it."""
+    return len(values) * (2.0 + np.max(np.abs(values))) ** k
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_trace_moments_sweep_vs_dense(n):
+    s = sample_potential(n, 0.35, uniform_sqrt3(), seed=500 + n)
+    dense = dense_trace_powers(s.values, 13)
+    for k in range(14):
+        t = trace_moments(s, k)
+        assert t.shape == (k + 1,)
+        for p in range(k + 1):
+            assert abs(t[p] - dense[p]) <= 1e-13 * _majorant(s.values, p), (k, p)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 24])
+def test_grid_pass_matches_per_size_calls(n_max):
+    # every prefix size: those <= ceil(k/2) put the window on the left edge,
+    # and neighbouring sizes (n, n+1) move the window by one site
+    v = sample_potential(n_max, 0.3, rademacher(), seed=900 + n_max).values
+    sizes = tuple(range(1, n_max + 1))
+    for k in range(14):
+        grid = _prefix_trace_moments(v, k, sizes)
+        assert grid.shape == (n_max, k + 1)
+        for row, n in zip(grid, sizes):
+            one = trace_moments(v[:n], k)
+            for p in range(k + 1):
+                assert abs(row[p] - one[p]) <= 1e-13 * _majorant(v[:n], p), (k, n, p)
+
+
+def test_grid_pass_on_a_sparse_grid():
+    v = sample_potential(3000, 0.2, uniform_sqrt3(), seed=31).values
+    sizes = (5, 6, 700, 2999, 3000)
+    grid = _prefix_trace_moments(v, 12, sizes)
+    for row, n in zip(grid, sizes):
+        one = trace_moments(v[:n], 12)
+        assert np.all(np.abs(row - one) <= 1e-13 * _majorant(v[:n], np.arange(13)))
+
+
 def test_trace_moments_vs_eigenvalues_n500():
     s = sample_potential(500, 0.5, rademacher(), seed=77)
     t = trace_moments(s, 10)
@@ -98,6 +139,19 @@ def test_trace_moments_vs_eigenvalues_n500():
 def test_overflow_guard():
     with pytest.raises(OverflowError, match="abort"):
         trace_moments(np.full(4, 1e200), 2)
+
+
+@pytest.mark.parametrize("values, k_max", [
+    (np.full(4, 1e120), 3),              # entries of H^2 are fine, Tr H^3 overflows
+    (np.array([1e305, -1e305, 0.0, 0.0]), 1),  # Tr H = 0, entries of H^1 too large
+    (np.array([np.nan, 0.0, 0.0]), 2),
+])
+def test_overflow_guard_traces_and_entries(values, k_max):
+    with pytest.raises(OverflowError, match="abort"):
+        trace_moments(values, k_max)
+    with pytest.raises(OverflowError, match="abort"):
+        _prefix_trace_moments(np.concatenate([values, np.zeros(5)]), k_max,
+                              (values.size, values.size + 5))
 
 
 # ------------------------------------------------------------- eigenvalues
