@@ -11,7 +11,6 @@ from .combinatorics import (
     flat_profile,
     flat_weight_bound,
     flat_weight_count,
-    path_range,
     profile_count,
     profile_counts,
     profile_windows,

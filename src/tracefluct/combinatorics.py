@@ -178,15 +178,14 @@ class LatticePath:
 
 
 def flat_profile(path: LatticePath) -> MultiIndex:
-    """Canonical flat profile of a closed path."""
+    """Canonical flat profile of a closed path.
+
+    Unlike :meth:`LatticePath.flat_profile`, this rejects open paths,
+    whose flat levels have no canonical profile.
+    """
     if not path.is_closed:
         raise ValueError("flat profiles are defined for closed paths")
     return path.flat_profile()
-
-
-def path_range(path: LatticePath) -> int:
-    """max level - min level along the path."""
-    return path.level_range()
 
 
 def _check_cap(k: int, cap: int | None) -> None:

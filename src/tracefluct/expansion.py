@@ -14,8 +14,12 @@ weight-j profiles.  Every constant comes from the one path walk in
 the profiles' depth histograms for the flat-free offset and the edge
 windows.  Everything here is evaluated without asymptotic approximation
 and without the symbolic polynomial, which stays an independent oracle;
-the decomposition reproduces it to rounding error and gives an O(N)
-centering constant for large ensembles.
+the decomposition reproduces it to rounding error.
+
+One fold, ``_fold``, sums these decompositions against a coefficient row
+c_0..c_K.  Every mean is a view of it: the unit row e_k
+(``power_expansion``, ``exact_mean_trace_power``), a truncated series
+(``series_expansion``, ``exact_mean_trace_f``) and each ensemble center.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .combinatorics import MultiIndex, _check_cap, profile_counts, profile_windows
 from .distributions import DistributionSpec
-from .series import AnalyticSeries, require_radius
+from .series import AnalyticSeries
 
 _EPS_CUTOFF = 1e-12
 
@@ -78,6 +82,7 @@ def power_sum_coefficient(k: int, j: int, dist: DistributionSpec):
     return total
 
 
+@lru_cache(maxsize=None)
 def power_partial_sum(n: int, j: int, alpha: float) -> float:
     """sum_{i=1..n} i^(-j*alpha), by direct compensated summation."""
     if n < 1:
@@ -123,6 +128,7 @@ def _edge_defects(k: int, alpha: float, dist: DistributionSpec, n: int | None = 
             yield -clipped * exf * _placed_weight(beta, iota, alpha)
 
 
+@lru_cache(maxsize=None)
 def boundary_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
     """Defect of the edge-window coefficients against pure path counts.
 
@@ -141,6 +147,7 @@ def boundary_correction_limit(k: int, alpha: float, dist: DistributionSpec) -> f
     return math.fsum(_edge_defects(k, alpha, dist))
 
 
+@lru_cache(maxsize=None)
 def placement_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
     """Error from collapsing each placed profile's site weights to its lowest site.
 
@@ -178,29 +185,6 @@ def placement_correction_bound(k: int, alpha: float, dist: DistributionSpec) -> 
     return math.fsum(parts)
 
 
-def exact_mean_trace_power(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
-    """E[Tr H^k], exactly, in O(N * #profiles) time.
-
-    Matches the symbolic oracle wherever both are computable and serves
-    as the centering constant for large-N ensembles.
-    """
-    if k == 0:
-        return float(n)
-    if n <= 2 * k:
-        raise ValueError("the fast mean requires N > 2k; use the symbolic oracle below that")
-    lin, off = flat_free_constants(k)
-    parts = [float(lin) * n + off, boundary_correction(n, k, alpha, dist)]
-    i = np.arange(1, n + 1, dtype=float)
-    for beta, count in profile_counts(k).items():
-        if beta.weight == 0:
-            continue
-        ex = dist.moment_product(beta)
-        if ex == 0:
-            continue
-        parts.append(count * float(ex) * math.fsum(_placed_weight(beta, i, alpha)))
-    return math.fsum(parts)
-
-
 @dataclass
 class ExpansionReport:
     """All constants of the exact mean decomposition for one power or series.
@@ -226,15 +210,21 @@ class ExpansionReport:
     boundary: float
     placement: float
     powersum_coeffs: dict[int, float]
-    powersums: dict[int, float]
     m_cutoff: int
     truncation_degree: int
     tail_bound: float
 
     @property
+    def powersums(self) -> dict[int, float]:
+        """S_j(N) for every order j of ``powersum_coeffs``."""
+        return {j: power_partial_sum(self.n_sites, j, self.alpha) for j in self.powersum_coeffs}
+
+    @property
     def reconstructed_mean(self) -> float:
+        # a zero coefficient adds exactly 0.0, so its S_j is never computed
         tail = math.fsum(
-            self.powersum_coeffs[j] * self.powersums[j] for j in self.powersum_coeffs
+            c * power_partial_sum(self.n_sites, j, self.alpha)
+            for j, c in self.powersum_coeffs.items() if c != 0.0
         )
         return (self.linear_coeff * self.n_sites + self.constant_coeff
                 + self.boundary + self.placement + tail)
@@ -242,8 +232,8 @@ class ExpansionReport:
     @property
     def remainder(self) -> float:
         beyond = math.fsum(
-            c * self.powersums[j] for j, c in self.powersum_coeffs.items()
-            if j > self.m_cutoff
+            c * power_partial_sum(self.n_sites, j, self.alpha)
+            for j, c in self.powersum_coeffs.items() if c != 0.0 and j > self.m_cutoff
         )
         return self.constant_coeff + self.boundary + self.placement + beyond
 
@@ -275,47 +265,19 @@ class ExpansionReport:
         }
 
 
-def power_expansion(k: int, n: int, alpha: float, dist: DistributionSpec) -> ExpansionReport:
-    """Full decomposition report for a single power Tr H^k."""
-    if k == 0:
-        lin, off = 1, 0
-        coeffs: dict[int, float] = {}
-    else:
-        lin, off = flat_free_constants(k)
-        coeffs = {j: float(power_sum_coefficient(k, j, dist)) for j in range(1, k + 1)}
-    return ExpansionReport(
-        kind="power",
-        label=f"x^{k}",
-        n_sites=n,
-        alpha=alpha,
-        dist_name=dist.name,
-        linear_coeff=float(lin),
-        constant_coeff=float(off),
-        boundary=boundary_correction(n, k, alpha, dist) if k else 0.0,
-        placement=placement_correction(n, k, alpha, dist) if k else 0.0,
-        powersum_coeffs=coeffs,
-        powersums={j: power_partial_sum(n, j, alpha) for j in coeffs},
-        m_cutoff=divergent_power_cutoff(alpha),
-        truncation_degree=k,
-        tail_bound=0.0,
-    )
+def _check_row(coeffs, n: int) -> None:
+    """Reject a row beyond the enumeration cap, or with N <= 2K for its top nonzero power K."""
+    _check_cap(len(coeffs) - 1, None)
+    top = max((l for l, c in enumerate(coeffs) if c != 0.0), default=0)
+    if n <= 2 * top:
+        raise ValueError("the fast mean requires N > 2k; use the symbolic oracle below that")
 
 
-def series_expansion(series: AnalyticSeries, n: int, alpha: float,
-                     dist: DistributionSpec, tail_tol: float = 1e-9) -> ExpansionReport:
-    """Aggregate the power decompositions over a series' coefficients.
-
-    The truncation degree follows the same per-site tail policy as the
-    numeric trace: N * sum_{l>K} |c_l| (2+C_X)^l <= tail_tol.  The
-    report's growing part carries the aggregated coefficients up to the
-    divergence cutoff; everything else lands in ``remainder``.
-    """
-    require_radius(series, dist.bound)
-    degree = series.truncation_degree(dist.bound + 2.0, tail_tol, scale=n)
-    _check_cap(degree, None)
-    tail = series.tail_majorant(degree, dist.bound + 2.0) * n
-    coeffs = series.coefficients_upto(degree)
-
+def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
+          kind: str = "series", tail_bound: float = 0.0) -> ExpansionReport:
+    """Aggregate the decompositions of Tr H^l over the coefficient row c_0..c_K."""
+    _check_row(coeffs, n)
+    degree = len(coeffs) - 1
     linear = 0.0
     constant = 0.0
     boundary = 0.0
@@ -335,8 +297,8 @@ def series_expansion(series: AnalyticSeries, n: int, alpha: float,
         for j in range(1, l + 1):
             powersum_coeffs[j] = powersum_coeffs[j] + c * power_sum_coefficient(l, j, dist)
     return ExpansionReport(
-        kind="series",
-        label=series.label,
+        kind=kind,
+        label=label,
         n_sites=n,
         alpha=alpha,
         dist_name=dist.name,
@@ -345,21 +307,36 @@ def series_expansion(series: AnalyticSeries, n: int, alpha: float,
         boundary=boundary,
         placement=placement,
         powersum_coeffs={j: float(c) for j, c in powersum_coeffs.items()},
-        powersums={j: power_partial_sum(n, j, alpha) for j in powersum_coeffs},
         m_cutoff=divergent_power_cutoff(alpha),
         truncation_degree=degree,
-        tail_bound=tail,
+        tail_bound=tail_bound,
     )
+
+
+def power_expansion(k: int, n: int, alpha: float, dist: DistributionSpec) -> ExpansionReport:
+    """Full decomposition report for a single power Tr H^k: the fold of the unit row e_k."""
+    return _fold((0.0,) * k + (1.0,), n, alpha, dist, f"x^{k}", kind="power")
+
+
+def series_expansion(series: AnalyticSeries, n: int, alpha: float,
+                     dist: DistributionSpec, tail_tol: float = 1e-9) -> ExpansionReport:
+    """Aggregate the power decompositions over a series' coefficients.
+
+    The series is truncated by the same per-site tail policy as the
+    numeric trace (:meth:`AnalyticSeries.truncate`).  The report's growing
+    part carries the aggregated coefficients up to the divergence cutoff;
+    everything else lands in ``remainder``.
+    """
+    coeffs, tail = series.truncate(dist.bound, tail_tol, n)
+    return _fold(coeffs, n, alpha, dist, series.label, tail_bound=tail)
+
+
+def exact_mean_trace_power(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
+    """E[Tr H^k], exactly, for N > 2k; matches the symbolic oracle wherever both are computable."""
+    return power_expansion(k, n, alpha, dist).reconstructed_mean
 
 
 def exact_mean_trace_f(series: AnalyticSeries, n: int, alpha: float,
                        dist: DistributionSpec, tail_tol: float = 1e-9) -> float:
-    """E[Tr f(H)] by summing exact power means against the coefficients."""
-    require_radius(series, dist.bound)
-    degree = series.truncation_degree(dist.bound + 2.0, tail_tol, scale=n)
-    parts = []
-    for l, c in enumerate(series.coefficients_upto(degree)):
-        if c == 0.0:
-            continue
-        parts.append(c * exact_mean_trace_power(n, l, alpha, dist))
-    return math.fsum(parts)
+    """E[Tr f(H)] of the truncated series."""
+    return series_expansion(series, n, alpha, dist, tail_tol).reconstructed_mean

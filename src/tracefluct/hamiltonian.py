@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .distributions import DistributionSpec
-from .series import AnalyticSeries, require_radius
+from .series import AnalyticSeries
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -197,27 +197,20 @@ class TraceFResult:
     tail_bound: float
 
 
-def trace_f(sample, series: AnalyticSeries, degree: int | None = None,
-            tail_tol: float = 1e-9) -> TraceFResult:
+def trace_f(sample, series: AnalyticSeries, tail_tol: float = 1e-9) -> TraceFResult:
     """Tr f(H) for a sampled operator, by truncating the coefficient series.
 
     The truncation degree K is chosen so that the crude per-site bound
     N * sum_{j>K} |c_j| (2+C_X)^j falls below ``tail_tol`` (polynomials
-    truncate at their degree, tail bound zero).  Pass ``degree`` to pin
-    K explicitly.
+    truncate at their degree, tail bound zero).
     """
     v = _as_values(sample)
     dist = getattr(sample, "dist", None)
     bound = dist.bound if dist is not None else float(np.max(np.abs(v))) if v.size else 0.0
-    require_radius(series, bound)
-    x = bound + 2.0
-    if degree is None:
-        degree = series.truncation_degree(x, tail_tol, scale=v.size)
-    tail = series.tail_majorant(degree, x) * v.size
-    moments = trace_moments(v, degree)
-    coeffs = series.coefficients_upto(degree)
+    coeffs, tail = series.truncate(bound, tail_tol, v.size)
+    moments = trace_moments(v, len(coeffs) - 1)
     value = math.fsum(c * m for c, m in zip(coeffs, moments) if c != 0.0)
-    return TraceFResult(value=value, degree=degree, tail_bound=tail)
+    return TraceFResult(value=value, degree=len(coeffs) - 1, tail_bound=tail)
 
 
 def dense_matrix(values) -> np.ndarray:

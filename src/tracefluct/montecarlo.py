@@ -31,9 +31,9 @@ from .combinatorics import (
     single_flat_count,
 )
 from .distributions import DistributionSpec
-from .expansion import exact_mean_trace_power
+from .expansion import _check_row, _fold
 from .hamiltonian import _prefix_trace_moments, derive_seed, sample_potential
-from .series import ALPHA_CRITICAL, AnalyticSeries, require_radius
+from .series import ALPHA_CRITICAL, AnalyticSeries
 
 _SIGMA_MAX_TERMS = 300
 
@@ -178,13 +178,10 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         raise ValueError(f"case {case!r} has no critical exponent; tag the functions A, B or C")
     if not config.dist.samplable:
         raise ValueError(f"{config.dist.name} cannot be sampled")
-    n_max = max(config.n_grid)
-    coeff_rows = []
-    for f in config.functions:
-        require_radius(f, config.dist.bound)
-        deg = f.truncation_degree(config.dist.bound + 2.0, config.tail_tol, scale=n_max)
-        coeff_rows.append(tuple(f.coefficients_upto(deg)))
-    coeff_rows = tuple(coeff_rows)
+    coeff_rows = tuple(tuple(f.truncate(config.dist.bound, config.tail_tol, config.n_grid[-1])[0])
+                       for f in config.functions)
+    for row in coeff_rows:
+        _check_row(row, config.n_grid[0])  # the smallest size, before any sample is drawn
 
     seeds = [derive_seed(config.base_seed, r) for r in range(config.replicas)]
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
@@ -201,18 +198,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
             ]
             raw = np.concatenate([fut.result() for fut in futures], axis=0)
 
-    centers = np.empty((len(config.functions), len(config.n_grid)))
-    for ni, n in enumerate(config.n_grid):
-        mean_cache: dict[int, float] = {}
-        for fi, row in enumerate(coeff_rows):
-            total = 0.0
-            for j, c in enumerate(row):
-                if c == 0.0:
-                    continue
-                if j not in mean_cache:
-                    mean_cache[j] = exact_mean_trace_power(n, j, config.alpha, config.dist)
-                total += c * mean_cache[j]
-            centers[fi, ni] = total
+    centers = np.array([
+        [_fold(row, n, config.alpha, config.dist, f.label).reconstructed_mean
+         for n in config.n_grid]
+        for f, row in zip(config.functions, coeff_rows)
+    ])
     return EnsembleResult(
         config=config,
         case=case,

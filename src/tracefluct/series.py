@@ -196,6 +196,15 @@ class AnalyticSeries:
             f"within degree {max_degree}"
         )
 
+    def truncate(self, bound: float, tol: float, scale: float) -> tuple[list[float], float]:
+        """(c_0..c_K, tail) for operators with |X| <= ``bound`` on ``scale`` sites.
+
+        K is the smallest degree with tail = scale * tail_majorant(K, bound + 2) <= tol.
+        """
+        require_radius(self, bound)
+        degree = self.truncation_degree(bound + 2.0, tol, scale=scale)
+        return self.coefficients_upto(degree), scale * self.tail_majorant(degree, bound + 2.0)
+
     def evaluate(self, x: float) -> float:
         """Pointwise value, for diagnostics; |x| must be inside the radius."""
         if abs(x) >= self.radius:

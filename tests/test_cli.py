@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tracefluct import acceptance
+from tracefluct import acceptance, montecarlo
 from tracefluct.acceptance import CriterionResult
 from tracefluct.cli import main, parse_beta, parse_dist, parse_function
 from tracefluct.combinatorics import MultiIndex
@@ -193,6 +193,20 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
          "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "mix" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--f", "exp:1", "--alpha", "0.3", "--n-grid", "1000"], "cap of 14"),
+    (["--f", "poly:0,0,0,0,1", "--alpha", "0.2", "--n-grid", "8,1000"], "N > 2k"),
+], ids=["cap", "sites"])
+def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an infeasible configuration")
+
+    monkeypatch.setattr(montecarlo, "sample_potential", no_sampling)
+    code, _, err = run_cli(
+        ["simulate", *argv, "--replicas", "20", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2 and message in err
 
 
 def test_simulate_config_file(tmp_path, capsys):

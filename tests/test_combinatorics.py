@@ -18,7 +18,6 @@ from tracefluct.combinatorics import (
     flat_profile,
     flat_weight_bound,
     flat_weight_count,
-    path_range,
     profile_count,
     profile_counts,
     profile_windows,
@@ -97,7 +96,7 @@ def test_levels_match_steps():
     p = LatticePath((UP, UP, DOWN, DOWN))
     assert p.levels() == (0, 1, 2, 1, 0)
     assert p.is_closed
-    assert path_range(p) == 2
+    assert p.level_range() == 2
 
 
 def test_flat_profile_examples():
@@ -117,8 +116,8 @@ def test_flat_profile_requires_closed():
 
 
 def test_path_range_examples():
-    assert path_range(LatticePath((UP, DOWN, UP, DOWN))) == 1
-    assert path_range(LatticePath(())) == 0
+    assert LatticePath((UP, DOWN, UP, DOWN)).level_range() == 1
+    assert LatticePath(()).level_range() == 0
 
 
 # --------------------------------------------------------------- enumeration

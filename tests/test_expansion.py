@@ -213,6 +213,28 @@ def test_exact_mean_large_n_runs_fast():
     assert np.isfinite(val)
 
 
+@pytest.mark.parametrize("dist, k, want", [
+    (rademacher(), 4, 613355.8174626197),
+    (rademacher(), 8, 7434505.550489189),
+    (rademacher(), 12, 103119809.75929613),
+    (uniform_sqrt3(), 4, 613392.2674718869),
+    (uniform_sqrt3(), 8, 7438232.758182697),
+    (uniform_sqrt3(), 12, 103292590.61435677),
+], ids=["rad-4", "rad-8", "rad-12", "uni-4", "uni-8", "uni-12"])
+def test_exact_mean_large_n_values(dist, k, want):
+    # values of the direct O(N * #profiles) placed-weight sum the fold replaced
+    assert exact_mean_trace_power(10**5, k, 0.2, dist) == pytest.approx(want, rel=1e-12)
+
+
+def test_series_mean_large_n_value():
+    # the degree-12 reference mean of the benchmark (bench/reference.json)
+    f = AnalyticSeries.polynomial([0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+    want = 141053231.80054912
+    d = uniform_sqrt3()
+    assert exact_mean_trace_f(f, 10**5, 0.2, d) == pytest.approx(want, rel=1e-12)
+    assert series_expansion(f, 10**5, 0.2, d).reconstructed_mean == pytest.approx(want, rel=1e-12)
+
+
 # ----------------------------------------------------------------- reports
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from tracefluct.combinatorics import enumerate_closed_paths, MultiIndex
+from tracefluct.combinatorics import FLAT, enumerate_closed_paths, MultiIndex
 from tracefluct.distributions import rademacher, uniform_sqrt3
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
@@ -30,10 +30,8 @@ def brute_sigma_a(coeffs, dist):
     for j in range(1, len(coeffs)):
         if coeffs[j] == 0:
             continue
-        n_single = sum(
-            1 for p in enumerate_closed_paths(j)
-            if p.flat_profile() == MultiIndex.delta()
-        )
+        # a closed path with exactly one flat step has the profile delta
+        n_single = sum(1 for p in enumerate_closed_paths(j) if p.steps.count(FLAT) == 1)
         kernel += coeffs[j] * n_single
     return kernel**2 * float(dist.variance)
 
