@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .combinatorics import (
     MultiIndex,
@@ -168,7 +167,7 @@ def _criterion_4() -> CriterionResult:
 
 def _criterion_5() -> CriterionResult:
     issues = []
-    lam = eigenvalues(np.zeros(1000), tol=1e-12)
+    lam = eigenvalues(np.zeros(1000))
     expect = np.sort(2.0 * np.cos(np.arange(1, 1001) * np.pi / 1001))
     dev = float(np.max(np.abs(lam - expect)))
     if dev > 1e-8:
@@ -179,7 +178,7 @@ def _criterion_5() -> CriterionResult:
             issues.append(f"free traces wrong at N={n}")
     s = sample_potential(500, 0.5, rademacher(), seed=505)
     t = trace_moments(s, 10)
-    lam = eigenvalues(s, tol=1e-12)
+    lam = eigenvalues(s)
     ps = np.array([np.sum(lam**k) for k in range(11)])
     rel = float(np.max(np.abs(t - ps) / np.maximum(1.0, np.abs(t))))
     if rel > 1e-8:
@@ -353,6 +352,8 @@ def _criterion_12() -> CriterionResult:
     can be asked of the corrections but not of the whole remainder.
     The power-sum gaps are checked against exact Hurwitz-zeta values.
     """
+    from scipy.special import zeta as hurwitz_zeta  # here, so scipy stays off the import path
+
     alpha = 0.26
     grid = (10**3, 10**4, 10**5)
     f = AnalyticSeries.polynomial([0, 0, 1, 0, 1])

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -118,10 +119,11 @@ def _require(args, *names):
         raise ValueError("missing required parameter(s): " + ", ".join(missing))
 
 
-def _write_sidecar(out_dir: Path) -> None:
-    (out_dir / "run_info.txt").write_text(
-        f"written_at={datetime.now(timezone.utc).isoformat()}\n"
-    )
+def _write_sidecar(out_dir: Path, timings: dict[str, float] | None = None) -> None:
+    """run_info.txt: the non-reproducible facts of a run (clock time, phase times)."""
+    lines = [f"written_at={datetime.now(timezone.utc).isoformat()}"]
+    lines += [f"{key}={value:.6g}" for key, value in (timings or {}).items()]
+    (out_dir / "run_info.txt").write_text("\n".join(lines) + "\n")
 
 
 def _config_header(config: dict) -> list[str]:
@@ -238,11 +240,13 @@ def cmd_expansion(args) -> int:
     tail_tol = float(args.tail_tol) if args.tail_tol is not None else 1e-9
     if (args.k is None) == (args.f is None):
         raise ValueError("pass exactly one of --k or --f")
+    t0 = time.perf_counter()
     if args.k is not None:
         report = power_expansion(int(args.k), n, alpha, dist)
     else:
         fspec = args.f[0] if isinstance(args.f, list) else args.f
         report = series_expansion(parse_function(fspec), n, alpha, dist, tail_tol=tail_tol)
+    expansion_s = time.perf_counter() - t0
     payload = {"format_version": FORMAT_VERSION, "report": report.to_dict()}
     csv_lines = _config_header({"label": report.label, "N": n, "alpha": alpha,
                                 "dist": dist.name})
@@ -256,7 +260,7 @@ def cmd_expansion(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "expansion_report.json").write_text(json.dumps(payload, indent=2) + "\n")
         (out_dir / "expansion_terms.csv").write_text("\n".join(csv_lines) + "\n")
-        _write_sidecar(out_dir)
+        _write_sidecar(out_dir, {"expansion_s": expansion_s})
     else:
         print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -278,7 +282,10 @@ def cmd_simulate(args) -> int:
         tail_tol=float(args.tail_tol) if args.tail_tol is not None else 1e-9,
         workers=int(args.workers) if args.workers is not None else 1,
     )
+    t0 = time.perf_counter()
     result = run_ensemble(config)
+    t_ensemble = time.perf_counter()
+    reports_s = 0.0  # clt_check and joint_correlation; the rest after t_ensemble is writing
     out_dir = Path(args.out or "tracefluct-run")
     out_dir.mkdir(parents=True, exist_ok=True)
     config_echo = config.to_dict()
@@ -304,13 +311,17 @@ def cmd_simulate(args) -> int:
               f"{result.alpha_c:g}; no normal-limit report", file=sys.stderr)
     else:
         theory = {f.label: sigma_sq_for(f, dist) for f in functions}
+        t = time.perf_counter()
         report = clt_check(result, sigma_theory=theory, ks=True)
+        reports_s += time.perf_counter() - t
         payload = {"format_version": FORMAT_VERSION, "config": config_echo,
                    **report.to_dict()}
         (out_dir / "clt_report.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     if len(functions) >= 2 and config.replicas >= 2:
+        t = time.perf_counter()
         corr = joint_correlation(result)
+        reports_s += time.perf_counter() - t
         clines = _config_header(config_echo)
         clines.append("N,f_i,f_j,correlation")
         for n in result.n_grid:
@@ -321,7 +332,13 @@ def cmd_simulate(args) -> int:
                     sval = _fmt(val) if not math.isnan(val) else "undefined"
                     clines.append(f"{n},{result.f_labels[i]},{result.f_labels[j]},{sval}")
         (out_dir / "correlation.csv").write_text("\n".join(clines) + "\n")
-    _write_sidecar(out_dir)
+    ensemble_s = t_ensemble - t0
+    _write_sidecar(out_dir, {
+        "ensemble_s": ensemble_s,
+        "reports_s": reports_s,
+        "write_s": time.perf_counter() - t_ensemble - reports_s,
+        "replicas_per_s": config.replicas / ensemble_s,
+    })
     print(f"wrote {out_dir}/samples.csv and reports")
     return EXIT_OK
 

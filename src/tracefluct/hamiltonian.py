@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .distributions import DistributionSpec
 from .series import AnalyticSeries
@@ -176,18 +175,20 @@ def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...]) -> 
     return out
 
 
-def eigenvalues(sample, tol: float = 1e-10) -> np.ndarray:
+def eigenvalues(sample) -> np.ndarray:
     """All eigenvalues, ascending, of the symmetric tridiagonal operator.
 
-    Uses bisection driven by Sturm-sequence counts (LAPACK stebz), which
-    locates every eigenvalue to within ``tol`` with an exact count.
+    An independent oracle for the trace kernel: LAPACK's default
+    tridiagonal driver (stemr, multiple relatively robust
+    representations), accurate to a small multiple of machine precision
+    times the spectral radius.  scipy is imported here, off the CLI's
+    import path.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    from scipy.linalg import eigh_tridiagonal
+
     v = _as_values(sample)
     off = np.ones(max(v.size - 1, 0))
-    w = eigh_tridiagonal(v, off, eigvals_only=True, lapack_driver="stebz", tol=tol)
-    return np.sort(w)
+    return np.sort(eigh_tridiagonal(v, off, eigvals_only=True))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
 
 from .combinatorics import (
     MultiIndex,
@@ -188,6 +186,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     if workers <= 1 or config.replicas <= 1:
         raw = _replica_block(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~18 ms of imports a serial run skips
+
         chunk = (config.replicas + workers - 1) // workers
         blocks = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -334,6 +334,24 @@ class NormalityStats:
         }
 
 
+def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Sample skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 (biased central moments)."""
+    d = x - x.mean()
+    d2 = d * d
+    m2 = float(d2.mean())
+    m3 = float((d2 * d).mean())
+    m4 = float((d2 * d2).mean())
+    return m3 / m2**1.5, m4 / m2**2 - 3.0
+
+
+def _ks_normal(x: np.ndarray, scale: float) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov distance of x from N(0, scale^2)."""
+    root = scale * math.sqrt(2.0)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / root)) for v in np.sort(x).tolist()])
+    steps = np.arange(cdf.size + 1) / cdf.size  # the empirical cdf on each side of a jump
+    return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
+
+
 def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None,
                     ks: bool = False, bootstrap: int = 0,
                     bootstrap_seed: int = 0) -> NormalityStats:
@@ -350,8 +368,7 @@ def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None,
     if var == 0.0 or noise_floor:
         skew = kurt = float("nan")
     else:
-        skew = float(stats.skew(x))
-        kurt = float(stats.kurtosis(x, fisher=True))
+        skew, kurt = _skew_kurtosis(x)
     out = NormalityStats(
         count=m, variance=var, skewness=skew, excess_kurtosis=kurt,
         sigma_sq_theory=sigma_sq_theory,
@@ -360,7 +377,7 @@ def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None,
         degenerate=degenerate,
     )
     if ks and var > 0.0 and not noise_floor:
-        out.ks_distance = float(stats.kstest(x, "norm", args=(0.0, math.sqrt(var))).statistic)
+        out.ks_distance = _ks_normal(x, math.sqrt(var))
     if bootstrap > 0 and var > 0.0 and not noise_floor:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(bootstrap_seed)))
         vs = np.empty(bootstrap)
@@ -369,8 +386,7 @@ def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None,
         for b in range(bootstrap):
             rs = x[rng.integers(0, m, size=m)]
             vs[b] = np.var(rs, ddof=1)
-            sk[b] = stats.skew(rs)
-            ku[b] = stats.kurtosis(rs, fisher=True)
+            sk[b], ku[b] = _skew_kurtosis(rs)
         q = [0.5, 99.5]
         out.variance_ci99 = tuple(np.percentile(vs, q))
         out.skewness_ci99 = tuple(np.percentile(sk, q))
@@ -522,8 +538,11 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
             var = float(np.var(diffs, ddof=1)) if diffs.size >= 2 else float("nan")
             bound = None
             if bound_const is not None:
-                tail = (float(special.zeta(2 * alpha, n_small + 1))
-                        if 2 * alpha > 1 else math.inf)
+                tail = math.inf
+                if 2 * alpha > 1:
+                    from scipy.special import zeta  # here, so scipy stays off the import path
+
+                    tail = float(zeta(2 * alpha, n_small + 1))
                 bound = bound_const * tail
             report.pairs.append(ConvergencePair(
                 f_label=f, n_small=n_small, n_large=n_large,

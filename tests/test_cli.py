@@ -1,6 +1,10 @@
 """Command line surface: exit codes, artifact formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,27 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_phase_times(run_info, keys):
+    fields = dict(line.split("=", 1) for line in run_info.read_text().splitlines())
+    for key in keys:
+        assert float(fields[key]) >= 0.0, key
+
+
+# ------------------------------------------------------------------ imports
+
+
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures.process"])
+def test_cli_import_skips(package):
+    # scipy alone costs over a second of start-up; it serves only the oracles
+    code = ("import sys, tracefluct.cli; print(any(m == {0!r} or m.startswith({0!r} + '.') "
+            "for m in sys.modules))").format(package)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ parsing
@@ -140,7 +165,7 @@ def test_expansion_f_mode_files(tmp_path, capsys):
     assert rep["report"]["m_cutoff"] == 3
     csv_text = (tmp_path / "expansion_terms.csv").read_text()
     assert "j,coefficient,powersum,contribution" in csv_text
-    assert (tmp_path / "run_info.txt").exists()
+    assert_phase_times(tmp_path / "run_info.txt", ["expansion_s"])
 
 
 def test_expansion_validation(capsys):
@@ -172,7 +197,8 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert clt["t_scaling"] == pytest.approx(0.6)
     corr = (tmp_path / "correlation.csv").read_text()
     assert "N,f_i,f_j,correlation" in corr
-    assert (tmp_path / "run_info.txt").exists()
+    assert_phase_times(tmp_path / "run_info.txt",
+                       ["ensemble_s", "reports_s", "write_s", "replicas_per_s"])
 
 
 def test_simulate_reproducible(tmp_path, capsys):

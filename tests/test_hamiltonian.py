@@ -130,7 +130,7 @@ def test_grid_pass_on_a_sparse_grid():
 def test_trace_moments_vs_eigenvalues_n500():
     s = sample_potential(500, 0.5, rademacher(), seed=77)
     t = trace_moments(s, 10)
-    lam = eigenvalues(s, tol=1e-12)
+    lam = eigenvalues(s)
     power_sums = np.array([np.sum(lam**k) for k in range(11)])
     rel = np.abs(t - power_sums) / np.maximum(1.0, np.abs(t))
     assert np.all(rel <= 1e-8)
@@ -159,7 +159,7 @@ def test_overflow_guard_traces_and_entries(values, k_max):
 
 def test_free_laplacian_spectrum():
     n = 1000
-    lam = eigenvalues(np.zeros(n), tol=1e-12)
+    lam = eigenvalues(np.zeros(n))
     expected = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     assert np.max(np.abs(lam - expected)) < 1e-8
 
@@ -197,7 +197,7 @@ def test_trace_f_exponential_vs_eigensolver():
     s = sample_potential(100, 0.5, rademacher(), seed=3)
     f = AnalyticSeries.exponential(1 / 8)
     res = trace_f(s, f, tail_tol=1e-9)
-    lam = eigenvalues(s, tol=1e-13)
+    lam = eigenvalues(s)
     oracle = np.sum(np.exp(lam / 8.0))
     assert res.tail_bound <= 1e-9
     assert res.value == pytest.approx(oracle, abs=1e-7)

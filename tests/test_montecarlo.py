@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from tracefluct.combinatorics import FLAT, enumerate_closed_paths, MultiIndex
 from tracefluct.distributions import rademacher, uniform_sqrt3
@@ -228,6 +228,40 @@ def test_normality_stats_selftest():
     assert st.variance_ci99[0] < 1.0 < st.variance_ci99[1]
     assert st.skewness_ci99[0] < 0.0 < st.skewness_ci99[1]
     assert st.kurtosis_ci99[0] < 0.0 < st.kurtosis_ci99[1]
+
+
+def _fixed_samples():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(77)))
+    for n in (400, 1000):
+        yield rng.standard_normal(n)
+        yield rng.exponential(size=n) - 1.0
+
+
+@pytest.mark.parametrize("x", list(_fixed_samples()), ids=["normal-400", "exp-400",
+                                                          "normal-1000", "exp-1000"])
+def test_normality_stats_match_scipy(x):
+    st = normality_stats(x, ks=True)
+    s = math.sqrt(st.variance)
+    assert st.skewness == pytest.approx(float(stats.skew(x)), rel=1e-12)
+    assert st.excess_kurtosis == pytest.approx(float(stats.kurtosis(x, fisher=True)), rel=1e-12)
+    ks = float(stats.kstest(x, "norm", args=(0.0, s)).statistic)
+    assert st.ks_distance == pytest.approx(ks, rel=1e-12)
+
+
+def test_bootstrap_cis_match_scipy():
+    x = next(_fixed_samples())
+    st = normality_stats(x, ks=True, bootstrap=200, bootstrap_seed=9)
+    # the same resampling stream, with scipy's skewness and kurtosis
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+    vs, sk, ku = [], [], []
+    for _ in range(200):
+        rs = x[rng.integers(0, x.size, size=x.size)]
+        vs.append(np.var(rs, ddof=1))
+        sk.append(stats.skew(rs))
+        ku.append(stats.kurtosis(rs, fisher=True))
+    for got, draws in ((st.variance_ci99, vs), (st.skewness_ci99, sk),
+                       (st.kurtosis_ci99, ku)):
+        assert got == pytest.approx(tuple(np.percentile(draws, [0.5, 99.5])), rel=1e-12)
 
 
 def test_normality_stats_degenerate():
