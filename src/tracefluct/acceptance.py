@@ -10,13 +10,14 @@ below, not tunable knobs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .combinatorics import (
     MultiIndex,
+    flat_weight_bound,
     flat_weight_count,
     profile_count,
     same_level_pair_count,
@@ -44,7 +45,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    measured: dict = field(default_factory=dict)
 
     def format_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -93,8 +93,7 @@ def _criterion_2() -> CriterionResult:
         counts = [flat_weight_count(l, j) for j in range(l + 1)]
         # per-weight bound, exact integers
         for j, c in enumerate(counts):
-            cap = math.comb(l, j) * (math.comb(l - j, (l - j) // 2) if (l - j) % 2 == 0 else 0)
-            if (l - j) % 2 == 0 and c > cap:
+            if c > flat_weight_bound(l, j):
                 bad.append(("weight", l, j))
         # geometric bound at C_X = 1, exact integers
         if sum(c * 1**j for j, c in enumerate(counts)) > 3**l:
@@ -161,7 +160,6 @@ def _criterion_4() -> CriterionResult:
         4, "mean decomposition identity",
         worst <= MEAN_IDENTITY_TOL,
         f"max relative deviation {worst:.2e} at {tuple(worst_at)} (tolerance 1e-9)",
-        {"worst": worst},
     )
 
 
@@ -297,7 +295,6 @@ def _criterion_9() -> CriterionResult:
         9, "joint fluctuations are rank one",
         corr >= 0.95,
         f"correlation of x and x^3 fluctuations {corr:.4f} (>= 0.95)",
-        {"correlation": corr},
     )
 
 
@@ -320,7 +317,6 @@ def _criterion_10() -> CriterionResult:
         f"stabilised variances {[f'{v:.3f}' for v in vars_c]} (spread {spread:.3f} <= 1.25); "
         f"leading-scale variances {[f'{v:.4f}' for v in vars_a]} decay to "
         f"{vars_a[-1] / vars_a[0]:.2f} of the first",
-        {"vars_stabilised": vars_c, "vars_leading": vars_a},
     )
 
 
@@ -336,7 +332,6 @@ def _criterion_11() -> CriterionResult:
         ok,
         f"Var(T_100000 - T_20000) = {pair.diff_variance:.3e} vs 1.5 x tail bound "
         f"{1.5 * pair.variance_bound:.3e}",
-        {"variance": pair.diff_variance, "bound": pair.variance_bound},
     )
 
 
@@ -399,8 +394,6 @@ def _criterion_12() -> CriterionResult:
         f"(required >= 2, predicted 10^(2*alpha) = {rate_bounded:.3f}); power sums of orders "
         f"{orders} shrink {tail_shrink:.4f} (predicted 10^({slowest}*alpha-1) = {rate_tail:.4f}), "
         f"max relative deviation from Hurwitz zeta {zeta_dev:.1e} (tolerance 1e-9)",
-        {"remainders": rems, "bounded_shrink": bounded_shrink, "tail_shrink": tail_shrink,
-         "orders": orders, "zeta_deviation": zeta_dev},
     )
 
 

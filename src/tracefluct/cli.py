@@ -138,7 +138,6 @@ def _config_header(config: dict) -> list[str]:
 
 def cmd_paths(args) -> int:
     k = int(args.k)
-    cap = int(args.cap) if args.cap is not None else None
     if args.beta is not None:
         beta = parse_beta(args.beta)
         if k == 0:
@@ -146,7 +145,7 @@ def cmd_paths(args) -> int:
             return EXIT_OK
         from .combinatorics import profile_count
 
-        print(profile_count(k, beta, cap))
+        print(profile_count(k, beta))
         return EXIT_OK
     print(f"# format_version={FORMAT_VERSION}")
     print(f"# k={k}")
@@ -154,7 +153,7 @@ def cmd_paths(args) -> int:
     if k == 0:
         print("0,1")
         return EXIT_OK
-    table = profile_counts(k, cap)
+    table = profile_counts(k)
     for beta in sorted(table, key=lambda b: (b.weight, b.pairs)):
         print(f"{beta},{table[beta]}")
     return EXIT_OK
@@ -240,12 +239,13 @@ def cmd_expansion(args) -> int:
     tail_tol = float(args.tail_tol) if args.tail_tol is not None else 1e-9
     if (args.k is None) == (args.f is None):
         raise ValueError("pass exactly one of --k or --f")
+    if args.f is not None and len(args.f) != 1:
+        raise ValueError("expansion takes exactly one --f")
     t0 = time.perf_counter()
     if args.k is not None:
         report = power_expansion(int(args.k), n, alpha, dist)
     else:
-        fspec = args.f[0] if isinstance(args.f, list) else args.f
-        report = series_expansion(parse_function(fspec), n, alpha, dist, tail_tol=tail_tol)
+        report = series_expansion(parse_function(args.f[0]), n, alpha, dist, tail_tol=tail_tol)
     expansion_s = time.perf_counter() - t0
     payload = {"format_version": FORMAT_VERSION, "report": report.to_dict()}
     csv_lines = _config_header({"label": report.label, "N": n, "alpha": alpha,
@@ -312,7 +312,7 @@ def cmd_simulate(args) -> int:
     else:
         theory = {f.label: sigma_sq_for(f, dist) for f in functions}
         t = time.perf_counter()
-        report = clt_check(result, sigma_theory=theory, ks=True)
+        report = clt_check(result, sigma_theory=theory)
         reports_s += time.perf_counter() - t
         payload = {"format_version": FORMAT_VERSION, "config": config_echo,
                    **report.to_dict()}
@@ -383,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="closed-path profile counts")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--beta", help="delta | 2delta | delta+delta^S | h:c[,h:c...]")
-    p.add_argument("--cap", type=int, help="enumeration cap override")
 
     p = sub.add_parser("trace-poly", help="dump the exact trace polynomial as CSV")
     p.add_argument("--N", dest="n", type=int)

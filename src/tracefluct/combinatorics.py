@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
@@ -37,13 +37,9 @@ class MultiIndex:
 
     ``pairs`` lists ``(level offset, count)`` with strictly increasing
     offsets, every count >= 1, and -- canonically -- smallest offset 0.
-    Only the canonical map participates in equality and hashing.  When a
-    profile is extracted from a concrete placement, ``iota`` records the
-    original minimal support position; it is bookkeeping, not identity.
     """
 
     pairs: tuple[tuple[int, int], ...]
-    iota: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         offsets = [h for h, _ in self.pairs]
@@ -57,16 +53,11 @@ class MultiIndex:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_counts(cls, counts: Mapping[int, int], iota: int | None = None) -> "MultiIndex":
+    def from_counts(cls, counts: Mapping[int, int]) -> "MultiIndex":
         """Build from a level -> count mapping, canonicalising the offsets."""
         items = sorted((h, c) for h, c in counts.items() if c > 0)
-        if not items:
-            return cls((), iota)
-        base = items[0][0]
-        return cls(
-            tuple((h - base, c) for h, c in items),
-            base if iota is None else iota,
-        )
+        base = items[0][0] if items else 0
+        return cls(tuple((h - base, c) for h, c in items))
 
     @classmethod
     def from_levels(cls, levels) -> "MultiIndex":
@@ -106,21 +97,8 @@ class MultiIndex:
         """Largest occupied offset (0 for the empty profile)."""
         return self.pairs[-1][0] if self.pairs else 0
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(h for h, _ in self.pairs)
-
-    def count(self, h: int) -> int:
-        for off, c in self.pairs:
-            if off == h:
-                return c
-        return 0
-
     def is_single_level(self) -> bool:
         return len(self.pairs) <= 1
-
-    def placed_at(self, iota: int) -> "MultiIndex":
-        return MultiIndex(self.pairs, iota)
 
     def __str__(self) -> str:
         if not self.pairs:
@@ -188,12 +166,11 @@ def flat_profile(path: LatticePath) -> MultiIndex:
     return path.flat_profile()
 
 
-def _check_cap(k: int, cap: int | None) -> None:
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if k > limit:
+def _check_cap(k: int) -> None:
+    if k > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration for k={k} exceeds the cap of {limit}; "
-            "raise the cap explicitly or use a closed form"
+            f"enumeration for k={k} exceeds the cap of {DEFAULT_ENUMERATION_CAP}; "
+            "use a closed form"
         )
 
 
@@ -205,7 +182,7 @@ def closed_path_count(k: int) -> int:
     return total
 
 
-def enumerate_closed_paths(k: int, cap: int | None = None) -> Iterator[LatticePath]:
+def enumerate_closed_paths(k: int) -> Iterator[LatticePath]:
     """Yield every closed path of length k exactly once.
 
     Depth-first over steps, pruning branches whose current level cannot
@@ -213,7 +190,7 @@ def enumerate_closed_paths(k: int, cap: int | None = None) -> Iterator[LatticePa
     """
     if k < 0:
         raise ValueError("path length must be >= 0")
-    _check_cap(k, cap)
+    _check_cap(k)
     steps: list[int] = []
 
     def rec(level: int, remaining: int):
@@ -288,22 +265,22 @@ def _profile_table(k: int) -> dict[tuple[tuple[int, int], ...], ProfileWindows]:
     }
 
 
-def profile_counts(k: int, cap: int | None = None) -> dict[MultiIndex, int]:
+def profile_counts(k: int) -> dict[MultiIndex, int]:
     """All canonical profiles of closed length-k paths with their path counts."""
-    return {beta: w.count for beta, w in profile_windows(k, cap).items()}
+    return {beta: w.count for beta, w in profile_windows(k).items()}
 
 
-def profile_windows(k: int, cap: int | None = None) -> dict[MultiIndex, ProfileWindows]:
+def profile_windows(k: int) -> dict[MultiIndex, ProfileWindows]:
     """All canonical profiles of closed length-k paths with their depth histograms."""
     if k < 0:
         raise ValueError("path length must be >= 0")
-    _check_cap(k, cap)
+    _check_cap(k)
     return {MultiIndex(pairs): w for pairs, w in _profile_table(k).items()}
 
 
-def profile_count(k: int, beta: MultiIndex, cap: int | None = None) -> int:
+def profile_count(k: int, beta: MultiIndex) -> int:
     """Number of closed length-k paths whose flat profile is (canonically) ``beta``."""
-    _check_cap(k, cap)
+    _check_cap(k)
     w = _profile_table(k).get(beta.pairs)
     return w.count if w else 0
 
@@ -326,11 +303,11 @@ def same_level_pair_count(j: int) -> int:
     return (j * 2**j) // 8
 
 
-def flat_weight_count(l: int, j: int, cap: int | None = None) -> int:
+def flat_weight_count(l: int, j: int) -> int:
     """Closed l-paths with exactly j flat steps, summed over all profiles."""
     if not 0 <= j <= l:
         raise ValueError("flat count j must satisfy 0 <= j <= l")
-    _check_cap(l, cap)
+    _check_cap(l)
     return sum(w.count for pairs, w in _profile_table(l).items()
                if sum(c for _, c in pairs) == j)
 

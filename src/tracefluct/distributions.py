@@ -75,19 +75,6 @@ class DistributionSpec:
             )
         return self.moment_list[m]
 
-    def abs_moment(self, m: int) -> Number:
-        """E[|X|^m]."""
-        if m % 2 == 0:
-            return self.moment(m)
-        if self.kind == "rademacher":
-            return Fraction(1)
-        if self.kind == "uniform":
-            return self.half_width**m / (m + 1)
-        if self.kind == "two_point":
-            (v1, v2), (p1, p2) = self.values, self.probs
-            return p1 * abs(v1) ** m + p2 * abs(v2) ** m
-        raise ValueError("absolute moments unavailable for a bare moment list")
-
     @property
     def variance(self) -> Number:
         return self.moment(2)
@@ -100,12 +87,6 @@ class DistributionSpec:
             if m == 0:
                 return Fraction(0)
             out = out * m
-        return out
-
-    def abs_moment_product(self, beta: MultiIndex) -> Number:
-        out: Number = Fraction(1)
-        for _, c in beta.pairs:
-            out = out * self.abs_moment(c)
         return out
 
     # -- sampling ---------------------------------------------------------

@@ -170,21 +170,6 @@ def placement_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -
     return math.fsum(parts)
 
 
-def placement_correction_bound(k: int, alpha: float, dist: DistributionSpec) -> float:
-    """Upper bound on |placement correction|, uniform in N.
-
-    Sums path count * E[|X|^beta] * sum_{i=1..k} i^(-alpha*weight) over
-    all canonical profiles.
-    """
-    parts = []
-    for beta, count in profile_counts(k).items():
-        if beta.weight == 0:
-            continue
-        tail = sum(i ** (-alpha * beta.weight) for i in range(1, k + 1))
-        parts.append(count * float(dist.abs_moment_product(beta)) * tail)
-    return math.fsum(parts)
-
-
 @dataclass
 class ExpansionReport:
     """All constants of the exact mean decomposition for one power or series.
@@ -267,7 +252,7 @@ class ExpansionReport:
 
 def _check_row(coeffs, n: int) -> None:
     """Reject a row beyond the enumeration cap, or with N <= 2K for its top nonzero power K."""
-    _check_cap(len(coeffs) - 1, None)
+    _check_cap(len(coeffs) - 1)
     top = max((l for l, c in enumerate(coeffs) if c != 0.0), default=0)
     if n <= 2 * top:
         raise ValueError("the fast mean requires N > 2k; use the symbolic oracle below that")

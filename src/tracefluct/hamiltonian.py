@@ -37,17 +37,7 @@ class PotentialSample:
     alpha: float
     seed: int
     dist: DistributionSpec
-    xs: np.ndarray      # the raw i.i.d. draws X_1..X_N
     values: np.ndarray  # V(n) = X_n / n^alpha
-
-    def prefix(self, n: int) -> "PotentialSample":
-        """The same realisation restricted to its first n sites."""
-        if n > self.n_sites:
-            raise ValueError("prefix longer than the sample")
-        return PotentialSample(
-            n_sites=n, alpha=self.alpha, seed=self.seed, dist=self.dist,
-            xs=self.xs[:n], values=self.values[:n],
-        )
 
 
 def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: int) -> PotentialSample:
@@ -60,7 +50,7 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
     xs = dist.sample_xs(rng, n_sites)
     return PotentialSample(
         n_sites=n_sites, alpha=alpha, seed=seed, dist=dist,
-        xs=xs, values=xs / _site_scale(n_sites, alpha),
+        values=xs / _site_scale(n_sites, alpha),
     )
 
 

@@ -34,6 +34,8 @@ from .hamiltonian import _prefix_trace_moments, derive_seed, sample_potential
 from .series import ALPHA_CRITICAL, AnalyticSeries
 
 _SIGMA_MAX_TERMS = 300
+#: Certified tail of the case A single-flat series, relative to its sum.
+_SIGMA_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ class EnsembleConfig:
             raise ValueError("need at least one test function")
         if self.replicas < 0:
             raise ValueError("replica count must be >= 0")
+        if self.workers < 0:
+            raise ValueError("worker count must be >= 0 (0 = all cores)")
         if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid, default=0) < 2:
             raise ValueError("the size grid must be strictly increasing with N >= 2")
 
@@ -209,7 +213,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         alpha_c=alpha_c,
         f_labels=tuple(f.label for f in config.functions),
         n_grid=tuple(config.n_grid),
-        raw=raw if config.replicas else np.empty((0, len(config.functions), len(config.n_grid))),
+        raw=raw,
         centers=centers,
     )
 
@@ -217,13 +221,12 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 # ------------------------------------------------------- limiting variances
 
 
-def case_a_sigma_sq(series: AnalyticSeries, dist: DistributionSpec,
-                    tail_tol: float = 1e-12) -> float:
+def case_a_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
     """Limiting variance for a general (case A) function.
 
     The square of the odd-coefficient sum against the single-flat path
     counts, times the law's variance.  Infinite series are summed until
-    the remaining tail is certified below ``tail_tol``.
+    the remaining tail is certified below ``_SIGMA_TAIL_TOL`` of the sum.
     """
     eta_sq = float(dist.variance)
     if series.is_polynomial:
@@ -240,17 +243,16 @@ def case_a_sigma_sq(series: AnalyticSeries, dist: DistributionSpec,
         size = abs(term)
         if prev is not None and prev > 0 and size / prev < 0.5:
             tail = size * (size / prev) / (1.0 - size / prev)
-            if tail <= tail_tol * max(1.0, abs(kernel)):
+            if tail <= _SIGMA_TAIL_TOL * max(1.0, abs(kernel)):
                 return kernel * kernel * eta_sq
         prev = size if size > 0 else prev
     raise ValueError(
         f"single-flat series for {series.label} was not certified summable "
-        f"at tolerance {tail_tol:g}"
+        f"at tolerance {_SIGMA_TAIL_TOL:g}"
     )
 
 
-def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec,
-                    s_max: int | None = None) -> float:
+def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
     """Limiting variance for an even-coefficient (case B) function.
 
     Two pieces: the shared-level flat pairs against the fourth-moment
@@ -268,13 +270,6 @@ def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec,
         raise ValueError(f"{series.label} is not tagged as a case B function")
 
     s_hi = max((degree - 2) // 2 + 1, 1)
-    if s_max is not None:
-        if s_max < s_hi:
-            raise ValueError(
-                f"s_max={s_max} cannot cover separations up to {s_hi} "
-                f"for degree {degree}"
-            )
-        s_hi = s_max
     fourth_excess = float(dist.moment(4) - dist.variance**2)
     eta_four = float(dist.variance) ** 2
 
@@ -314,9 +309,6 @@ class NormalityStats:
     variance_ratio: float | None = None
     degenerate: bool = False
     ks_distance: float | None = None
-    variance_ci99: tuple[float, float] | None = None
-    skewness_ci99: tuple[float, float] | None = None
-    kurtosis_ci99: tuple[float, float] | None = None
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -352,9 +344,7 @@ def _ks_normal(x: np.ndarray, scale: float) -> float:
     return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
 
 
-def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None,
-                    ks: bool = False, bootstrap: int = 0,
-                    bootstrap_seed: int = 0) -> NormalityStats:
+def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None) -> NormalityStats:
     """Moment diagnostics of one sample set against a centered normal."""
     x = np.asarray(samples, dtype=float)
     m = x.size
@@ -376,21 +366,8 @@ def normality_stats(samples: np.ndarray, sigma_sq_theory: float | None = None,
                         if sigma_sq_theory not in (None, 0.0) else None),
         degenerate=degenerate,
     )
-    if ks and var > 0.0 and not noise_floor:
+    if var > 0.0 and not noise_floor:
         out.ks_distance = _ks_normal(x, math.sqrt(var))
-    if bootstrap > 0 and var > 0.0 and not noise_floor:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(bootstrap_seed)))
-        vs = np.empty(bootstrap)
-        sk = np.empty(bootstrap)
-        ku = np.empty(bootstrap)
-        for b in range(bootstrap):
-            rs = x[rng.integers(0, m, size=m)]
-            vs[b] = np.var(rs, ddof=1)
-            sk[b], ku[b] = _skew_kurtosis(rs)
-        q = [0.5, 99.5]
-        out.variance_ci99 = tuple(np.percentile(vs, q))
-        out.skewness_ci99 = tuple(np.percentile(sk, q))
-        out.kurtosis_ci99 = tuple(np.percentile(ku, q))
     return out
 
 
@@ -414,20 +391,15 @@ class CltReport:
         }
 
 
-def clt_check(result: EnsembleResult, sigma_theory: dict | None = None,
-              t: float | None = None, ks: bool = False, bootstrap: int = 0) -> CltReport:
+def clt_check(result: EnsembleResult, sigma_theory: dict | None = None) -> CltReport:
     """Normality diagnostics of the scaled fluctuations, per function and size."""
     if result.raw.shape[0] < 100:
         raise ValueError("the diagnostics need at least 100 replicas")
-    t_eff = result.scaling_t() if t is None else t
-    report = CltReport(t_scaling=t_eff)
+    report = CltReport(t_scaling=result.scaling_t())
     for f in result.f_labels:
         theory = (sigma_theory or {}).get(f)
         for n in result.n_grid:
-            report.entries[(f, n)] = normality_stats(
-                result.scaled(f, n, t=t_eff), sigma_sq_theory=theory,
-                ks=ks, bootstrap=bootstrap,
-            )
+            report.entries[(f, n)] = normality_stats(result.scaled(f, n), sigma_sq_theory=theory)
     return report
 
 
@@ -483,7 +455,6 @@ class ConvergencePair:
     f_label: str
     n_small: int
     n_large: int
-    diff_quantiles: dict          # {"q50": ..., "q90": ..., "max": ...}
     diff_variance: float
     variance_bound: float | None  # leading-term bound, case A only
     bound_ratio: float | None
@@ -496,31 +467,14 @@ class ConvergenceReport:
     alpha_c: float
     pairs: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "alpha_c": self.alpha_c,
-            "pairs": [
-                {
-                    "f": p.f_label, "n_small": p.n_small, "n_large": p.n_large,
-                    **p.diff_quantiles,
-                    "diff_variance": p.diff_variance,
-                    "variance_bound": p.variance_bound,
-                    "bound_ratio": p.bound_ratio,
-                    "supercritical": p.supercritical,
-                }
-                for p in self.pairs
-            ],
-        }
-
 
 def convergence_check(result: EnsembleResult) -> ConvergenceReport:
     """Stability of the unscaled fluctuation along the coupled size grid.
 
-    For each adjacent size pair the per-replica fluctuation difference is
-    summarised, and its variance is compared against the leading-term
-    bound sigma^2(f) * sum_{n > N_small} n^(-2*alpha) (finite only above
-    the case A critical exponent; the tail diverges below it, which the
+    For each adjacent size pair the variance of the per-replica
+    fluctuation difference is compared against the leading-term bound
+    sigma^2(f) * sum_{n > N_small} n^(-2*alpha) (finite only above the
+    case A critical exponent; the tail diverges below it, which the
     report flags instead of asserting convergence).
     """
     if len(result.n_grid) < 2:
@@ -546,11 +500,6 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
                 bound = bound_const * tail
             report.pairs.append(ConvergencePair(
                 f_label=f, n_small=n_small, n_large=n_large,
-                diff_quantiles={
-                    "q50": float(np.quantile(np.abs(diffs), 0.5)) if diffs.size else float("nan"),
-                    "q90": float(np.quantile(np.abs(diffs), 0.9)) if diffs.size else float("nan"),
-                    "max": float(np.max(np.abs(diffs))) if diffs.size else float("nan"),
-                },
                 diff_variance=var,
                 variance_bound=bound,
                 bound_ratio=(var / bound if bound not in (None, 0.0, math.inf) else None),

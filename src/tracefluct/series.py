@@ -25,12 +25,12 @@ from .combinatorics import single_flat_count
 CASE_A = "A"
 CASE_B = "B"
 CASE_C = "C"
-CASE_POLYNOMIAL = "polynomial"
 
 #: critical decay exponent per fluctuation case
 ALPHA_CRITICAL = {CASE_A: 1 / 2, CASE_B: 1 / 4, CASE_C: 1 / 6}
 
 _MAX_TAIL_TERMS = 500
+_MAX_TRUNCATION_DEGREE = 200
 
 
 def _exponential_coefficient(rate: float, j: int) -> float:
@@ -75,7 +75,7 @@ class AnalyticSeries:
     coeff_fn: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.case not in (CASE_A, CASE_B, CASE_C, CASE_POLYNOMIAL):
+        if self.case not in (CASE_A, CASE_B, CASE_C):
             raise ValueError(f"unknown case tag {self.case!r}")
         if (self.degree is None) == (self.coeffs is not None):
             raise ValueError("provide either a finite coefficient tuple or a coeff_fn")
@@ -151,8 +151,6 @@ class AnalyticSeries:
 
     @property
     def alpha_critical(self) -> float:
-        if self.case == CASE_POLYNOMIAL:
-            raise ValueError("polynomial-tagged series have no single critical exponent")
         return ALPHA_CRITICAL[self.case]
 
     # -- tails ----------------------------------------------------------------
@@ -183,17 +181,16 @@ class AnalyticSeries:
             f"{_MAX_TAIL_TERMS} terms at x={x:g}"
         )
 
-    def truncation_degree(self, x: float, tol: float, scale: float = 1.0,
-                          max_degree: int = 200) -> int:
+    def truncation_degree(self, x: float, tol: float, scale: float = 1.0) -> int:
         """Smallest degree K with scale * tail_majorant(K, x) <= tol."""
         if self.is_polynomial:
             return self.degree
-        for k in range(max_degree + 1):
+        for k in range(_MAX_TRUNCATION_DEGREE + 1):
             if scale * self.tail_majorant(k, x) <= tol:
                 return k
         raise ValueError(
             f"no truncation of {self.label} at x={x:g} meets tolerance {tol:g} "
-            f"within degree {max_degree}"
+            f"within degree {_MAX_TRUNCATION_DEGREE}"
         )
 
     def truncate(self, bound: float, tol: float, scale: float) -> tuple[list[float], float]:

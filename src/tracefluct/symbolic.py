@@ -13,6 +13,7 @@ small N and k (see the caps); the large-N mean lives in
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,7 +61,7 @@ class SiteMonomial:
         return self.sites[-1][0]
 
     def profile(self) -> MultiIndex:
-        """The canonical profile of this monomial, iota recorded."""
+        """The canonical profile of this monomial."""
         return MultiIndex.from_counts(dict(self.sites))
 
     def __str__(self) -> str:
@@ -69,13 +70,11 @@ class SiteMonomial:
         ) or "1"
 
 
-def _check_caps(n_sites: int, k: int, power_cap: int | None, site_cap: int | None) -> None:
-    pcap = DEFAULT_POWER_CAP if power_cap is None else power_cap
-    scap = DEFAULT_SITE_CAP if site_cap is None else site_cap
-    if k > pcap:
-        raise ValueError(f"symbolic expansion for k={k} exceeds the power cap of {pcap}")
-    if n_sites > scap:
-        raise ValueError(f"symbolic expansion for N={n_sites} exceeds the site cap of {scap}")
+def _check_caps(n_sites: int, k: int) -> None:
+    if k > DEFAULT_POWER_CAP:
+        raise ValueError(f"symbolic expansion for k={k} exceeds the power cap of {DEFAULT_POWER_CAP}")
+    if n_sites > DEFAULT_SITE_CAP:
+        raise ValueError(f"symbolic expansion for N={n_sites} exceeds the site cap of {DEFAULT_SITE_CAP}")
     if n_sites < 1:
         raise ValueError("need at least one site")
     if k < 0:
@@ -141,66 +140,63 @@ class TracePolynomial:
 
 
 @lru_cache(maxsize=None)
-def _path_geometry(k: int, cap: int | None) -> tuple:
-    """Per closed path: (sorted flat (level, count) pairs or None, min level, max level)."""
-    out = []
-    for p in enumerate_closed_paths(k, cap):
+def _path_geometry(k: int) -> tuple:
+    """Distinct closed-path geometries with their path counts.
+
+    Each entry is ((sorted flat (level, count) pairs or None, min level,
+    max level), multiplicity); paths sharing a geometry produce the same
+    monomials at every start site.
+    """
+    geometries: Counter = Counter()
+    for p in enumerate_closed_paths(k):
         ys = p.levels()
         flats = p.flat_levels()
-        if flats:
-            counts: dict[int, int] = {}
-            for h in flats:
-                counts[h] = counts.get(h, 0) + 1
-            pairs = tuple(sorted(counts.items()))
-        else:
-            pairs = None
-        out.append((pairs, min(ys), max(ys)))
-    return tuple(out)
+        pairs = tuple(sorted(Counter(flats).items())) if flats else None
+        geometries[(pairs, min(ys), max(ys))] += 1
+    return tuple(geometries.items())
 
 
-def trace_power_polynomial(n_sites: int, k: int, power_cap: int | None = None,
-                           site_cap: int | None = None) -> TracePolynomial:
+def trace_power_polynomial(n_sites: int, k: int) -> TracePolynomial:
     """Exact expansion of Tr(H^k) over the N-site operator.
 
     Iterates (start site, closed path) pairs, keeping those whose walk
     stays inside [1, N]; the flat-step levels of a kept pair contribute
     one count to the corresponding site monomial.
     """
-    _check_caps(n_sites, k, power_cap, site_cap)
+    _check_caps(n_sites, k)
     constant = 0
     terms: dict[tuple[tuple[int, int], ...], int] = {}
-    for pairs, y_min, y_max in _path_geometry(k, power_cap):
+    for (pairs, y_min, y_max), mult in _path_geometry(k):
         lo = max(1, 1 - y_min)
         hi = min(n_sites, n_sites - y_max)
         if hi < lo:
             continue
         if pairs is None:
-            constant += hi - lo + 1
+            constant += mult * (hi - lo + 1)
             continue
         for i in range(lo, hi + 1):
             key = tuple((i + h, c) for h, c in pairs)
-            terms[key] = terms.get(key, 0) + 1
+            terms[key] = terms.get(key, 0) + mult
     poly = TracePolynomial(n_sites=n_sites, power=k, constant=constant)
     poly.terms = {SiteMonomial(key): v for key, v in terms.items()}
     return poly
 
 
-def diag_entry_polynomial(n_sites: int, k: int, site: int, power_cap: int | None = None,
-                          site_cap: int | None = None) -> TracePolynomial:
+def diag_entry_polynomial(n_sites: int, k: int, site: int) -> TracePolynomial:
     """Exact expansion of the single diagonal entry (H^k)_{site,site}."""
-    _check_caps(n_sites, k, power_cap, site_cap)
+    _check_caps(n_sites, k)
     if not 1 <= site <= n_sites:
         raise ValueError("site out of range")
     constant = 0
     terms: dict[SiteMonomial, int] = {}
-    for pairs, y_min, y_max in _path_geometry(k, power_cap):
+    for (pairs, y_min, y_max), mult in _path_geometry(k):
         if site + y_min < 1 or site + y_max > n_sites:
             continue
         if pairs is None:
-            constant += 1
+            constant += mult
             continue
         mono = SiteMonomial(tuple((site + h, c) for h, c in pairs))
-        terms[mono] = terms.get(mono, 0) + 1
+        terms[mono] = terms.get(mono, 0) + mult
     return TracePolynomial(n_sites=n_sites, power=k, constant=constant, terms=terms)
 
 
@@ -257,16 +253,14 @@ def coefficient_identity_report(poly: TracePolynomial) -> InteriorIdentityReport
     return report
 
 
-def verify_interior_identity(n_sites: int, k: int, power_cap: int | None = None,
-                             site_cap: int | None = None) -> InteriorIdentityReport:
+def verify_interior_identity(n_sites: int, k: int) -> InteriorIdentityReport:
     """Expand Tr H^k and check every coefficient against its path count."""
     if n_sites <= 2 * k:
         raise ValueError("need N > 2k for a non-empty interior window")
-    return coefficient_identity_report(trace_power_polynomial(n_sites, k, power_cap, site_cap))
+    return coefficient_identity_report(trace_power_polynomial(n_sites, k))
 
 
 def exact_expectation_trace_power(n_sites: int, k: int, alpha: float,
-                                  dist: DistributionSpec, power_cap: int | None = None,
-                                  site_cap: int | None = None) -> float:
+                                  dist: DistributionSpec) -> float:
     """Small-N oracle for E[Tr H^k]: expand symbolically, then take moments."""
-    return trace_power_polynomial(n_sites, k, power_cap, site_cap).expectation(alpha, dist)
+    return trace_power_polynomial(n_sites, k).expectation(alpha, dist)

@@ -178,6 +178,10 @@ def test_expansion_validation(capsys):
         ["expansion", "--f", "poly:" + ",".join(["0"] * 15 + ["1"]), "--alpha", "0.5",
          "--N", "1000"], capsys)
     assert code == 2 and "cap of 14" in err
+    code, out, err = run_cli(
+        ["expansion", "--f", "poly:0,1", "--f", "poly:0,0,1", "--alpha", "0.3", "--N", "100"],
+        capsys)
+    assert code == 2 and "exactly one --f" in err and not out
 
 
 # ----------------------------------------------------------------- simulate
@@ -224,7 +228,8 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--f", "exp:1", "--alpha", "0.3", "--n-grid", "1000"], "cap of 14"),
     (["--f", "poly:0,0,0,0,1", "--alpha", "0.2", "--n-grid", "8,1000"], "N > 2k"),
-], ids=["cap", "sites"])
+    (["--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "1000", "--workers", "-1"], "worker count"),
+], ids=["cap", "sites", "workers"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")

@@ -73,7 +73,6 @@ def test_moment_product():
     assert d.moment_product(beta) == 1  # E[X^2]^2
     beta_odd = MultiIndex.from_counts({0: 1, 1: 2})
     assert d.moment_product(beta_odd) == 0
-    assert d.abs_moment_product(MultiIndex.from_counts({0: 4})) == Fraction(9, 5)
 
 
 def test_sampling_support_and_moments():

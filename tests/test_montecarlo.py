@@ -204,8 +204,6 @@ def test_case_b_matches_brute_force():
 def test_case_b_rejects_odd():
     with pytest.raises(ValueError, match="odd"):
         case_b_sigma_sq(AnalyticSeries.monomial(3), rademacher())
-    with pytest.raises(ValueError, match="s_max"):
-        case_b_sigma_sq(AnalyticSeries.monomial(8), uniform_sqrt3(), s_max=1)
 
 
 def test_sigma_dispatch():
@@ -220,14 +218,11 @@ def test_sigma_dispatch():
 def test_normality_stats_selftest():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
     x = rng.standard_normal(10_000)
-    st = normality_stats(x, sigma_sq_theory=1.0, ks=True, bootstrap=400, bootstrap_seed=5)
+    st = normality_stats(x, sigma_sq_theory=1.0)
     assert abs(st.variance - 1.0) < 0.05
     assert abs(st.skewness) < 0.08
     assert abs(st.excess_kurtosis) < 0.15
     assert st.ks_distance < 0.02
-    assert st.variance_ci99[0] < 1.0 < st.variance_ci99[1]
-    assert st.skewness_ci99[0] < 0.0 < st.skewness_ci99[1]
-    assert st.kurtosis_ci99[0] < 0.0 < st.kurtosis_ci99[1]
 
 
 def _fixed_samples():
@@ -240,28 +235,12 @@ def _fixed_samples():
 @pytest.mark.parametrize("x", list(_fixed_samples()), ids=["normal-400", "exp-400",
                                                           "normal-1000", "exp-1000"])
 def test_normality_stats_match_scipy(x):
-    st = normality_stats(x, ks=True)
+    st = normality_stats(x)
     s = math.sqrt(st.variance)
     assert st.skewness == pytest.approx(float(stats.skew(x)), rel=1e-12)
     assert st.excess_kurtosis == pytest.approx(float(stats.kurtosis(x, fisher=True)), rel=1e-12)
     ks = float(stats.kstest(x, "norm", args=(0.0, s)).statistic)
     assert st.ks_distance == pytest.approx(ks, rel=1e-12)
-
-
-def test_bootstrap_cis_match_scipy():
-    x = next(_fixed_samples())
-    st = normality_stats(x, ks=True, bootstrap=200, bootstrap_seed=9)
-    # the same resampling stream, with scipy's skewness and kurtosis
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
-    vs, sk, ku = [], [], []
-    for _ in range(200):
-        rs = x[rng.integers(0, x.size, size=x.size)]
-        vs.append(np.var(rs, ddof=1))
-        sk.append(stats.skew(rs))
-        ku.append(stats.kurtosis(rs, fisher=True))
-    for got, draws in ((st.variance_ci99, vs), (st.skewness_ci99, sk),
-                       (st.kurtosis_ci99, ku)):
-        assert got == pytest.approx(tuple(np.percentile(draws, [0.5, 99.5])), rel=1e-12)
 
 
 def test_normality_stats_degenerate():

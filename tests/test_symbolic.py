@@ -21,7 +21,6 @@ def test_site_monomial_basics():
     assert m.min_site == 2 and m.max_site == 5
     prof = m.profile()
     assert prof == MultiIndex.from_counts({0: 1, 3: 3})
-    assert prof.iota == 2
     with pytest.raises(ValueError):
         SiteMonomial(((5, 1), (2, 1)))
 
@@ -65,7 +64,6 @@ def test_caps_enforced():
         trace_power_polynomial(10, 13)
     with pytest.raises(ValueError, match="site cap"):
         trace_power_polynomial(65, 2)
-    trace_power_polynomial(65, 2, site_cap=70)
 
 
 @pytest.mark.parametrize("n,k", [(1, 4), (3, 5), (8, 6), (20, 8)])
@@ -82,7 +80,7 @@ def test_trace_additivity(n, k):
     assert merged == poly.terms
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (5, 4), (12, 6), (20, 8)])
+@pytest.mark.parametrize("n,k", [(2, 3), (5, 4), (12, 6), (20, 8), (30, 12)])
 def test_polynomial_evaluation_matches_numeric_trace(n, k):
     s = sample_potential(n, 0.4, uniform_sqrt3(), seed=n * 10 + k)
     poly = trace_power_polynomial(n, k)
