@@ -31,7 +31,6 @@ from .hamiltonian import (
     derive_seed,
     eigenvalues,
     sample_potential,
-    trace_f,
     trace_moments,
 )
 from .symbolic import (
@@ -45,15 +44,11 @@ from .symbolic import (
 )
 from .expansion import (
     ExpansionReport,
-    boundary_correction,
     divergent_power_cutoff,
     exact_mean_trace_f,
     exact_mean_trace_power,
-    flat_free_constants,
-    placement_correction,
     power_expansion,
     power_partial_sum,
-    power_sum_coefficient,
     series_expansion,
 )
 from .montecarlo import (

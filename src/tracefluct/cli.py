@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .acceptance import MEAN_IDENTITY_TOL, mean_identity_sweep, run_criteria
-from .combinatorics import MultiIndex, profile_counts
+from .combinatorics import MultiIndex, profile_count, profile_counts
 from .distributions import DistributionSpec, rademacher, uniform_sqrt3, uniform_symmetric
 from .expansion import power_expansion, series_expansion
 from .montecarlo import (
@@ -139,21 +139,12 @@ def _config_header(config: dict) -> list[str]:
 def cmd_paths(args) -> int:
     k = int(args.k)
     if args.beta is not None:
-        beta = parse_beta(args.beta)
-        if k == 0:
-            print(1 if beta.weight == 0 else 0)
-            return EXIT_OK
-        from .combinatorics import profile_count
-
-        print(profile_count(k, beta))
+        print(profile_count(k, parse_beta(args.beta)))
         return EXIT_OK
+    table = profile_counts(k)  # validates k before the header is printed
     print(f"# format_version={FORMAT_VERSION}")
     print(f"# k={k}")
     print("beta,count")
-    if k == 0:
-        print("0,1")
-        return EXIT_OK
-    table = profile_counts(k)
     for beta in sorted(table, key=lambda b: (b.weight, b.pairs)):
         print(f"{beta},{table[beta]}")
     return EXIT_OK

@@ -9,15 +9,15 @@ trace of a power splits, exactly and for every finite N, into
   + placement correction                (multi-site weight collapse)
 
 where ``coeff_j`` sums path counts against moments over the canonical
-weight-j profiles.  Every constant comes from the one path walk in
-:mod:`tracefluct.combinatorics`: profile counts for the interior, and
-the profiles' depth histograms for the flat-free offset and the edge
-windows.  Everything here is evaluated without asymptotic approximation
-and without the symbolic polynomial, which stays an independent oracle;
-the decomposition reproduces it to rounding error.
+weight-j profiles.  Everything is evaluated without asymptotic
+approximation and without the symbolic polynomial, which stays an
+independent oracle; the decomposition reproduces it to rounding error.
 
-One fold, ``_fold``, sums these decompositions against a coefficient row
-c_0..c_K.  Every mean is a view of it: the unit row e_k
+One fold, ``_fold``, reads the decomposition of a coefficient row
+c_0..c_K off that row's one profile table in
+:mod:`tracefluct.combinatorics`: the c_l-weighted path counts for the
+interior, and the depth histograms for the flat-free offset and the edge
+windows.  Every mean is a view of it: the unit row e_k
 (``power_expansion``, ``exact_mean_trace_power``), a truncated series
 (``series_expansion``, ``exact_mean_trace_f``) and each ensemble center.
 """
@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import MultiIndex, _check_cap, profile_counts, profile_windows
+from .combinatorics import MultiIndex, ProfileWindows, _check_cap, _profile_table, _unit_row
 from .distributions import DistributionSpec
 from .series import AnalyticSeries
 
@@ -46,40 +45,6 @@ def divergent_power_cutoff(alpha: float) -> int:
     if alpha <= 0:
         raise ValueError("the decay exponent must be positive")
     return max(0, math.floor((1.0 + _EPS_CUTOFF) / alpha))
-
-
-@lru_cache(maxsize=None)
-def flat_free_constants(k: int) -> tuple[int, int]:
-    """(per-site, offset) of the flat-free trace: Tr of the hopping-only power.
-
-    The flat-free closed paths contribute ``per_site * N + offset`` to
-    Tr H^k for every N large enough that no walk can span both edges;
-    ``per_site`` is C(k, k/2) for even k, and ``offset`` is minus the
-    summed level range over those paths.
-    """
-    free = profile_windows(k).get(MultiIndex.zero())
-    if free is None:
-        return 0, 0
-    return free.count, -sum(d * n for hist in (free.below, free.above)
-                            for d, n in enumerate(hist))
-
-
-def power_sum_coefficient(k: int, j: int, dist: DistributionSpec):
-    """Moment-weighted count of weight-j profiles among closed k-paths.
-
-    Exact (a Fraction when the law's moments are rational).  Vanishes for
-    j = 1 under any centered law and whenever j, k have opposite parity.
-    """
-    if j < 0 or j > k:
-        return Fraction(0)
-    total = Fraction(0)
-    for beta, count in profile_counts(k).items():
-        if beta.weight != j or j == 0:
-            continue
-        ex = dist.moment_product(beta)
-        if ex != 0:
-            total = total + count * ex
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -102,18 +67,22 @@ def _placed_weight(beta: MultiIndex, i, alpha: float):
     return w
 
 
-def _edge_defects(k: int, alpha: float, dist: DistributionSpec, n: int | None = None):
+def _edge_defects(table, alpha: float, dist: DistributionSpec, n: int | None = None):
     """Yield (coefficient - path count) * E[V^beta] * weight over the clipped placements.
 
     A path of profile beta placed with its lowest flat at site iota leaves
     [1, N] on the left when its depth below reaches iota, and on the right
     when its depth above exceeds N - iota - span(beta).  A closed k-path
     spans at most k/2 levels, so for N > 2k no path is clipped at both
-    edges.  Only the left window is yielded when ``n`` is None.
+    edges, and each edge clips a placement by its distance to that edge
+    alone: the coefficients are read off the profile table's depth
+    histograms at a cost independent of N.  Only the left window is
+    yielded when ``n`` is None.
     """
-    for beta, win in profile_windows(k).items():
-        if beta.weight == 0:
+    for pairs, win in table.items():
+        if not pairs:
             continue
+        beta = MultiIndex(pairs)
         ex = dist.moment_product(beta)
         if ex == 0:
             continue
@@ -128,46 +97,9 @@ def _edge_defects(k: int, alpha: float, dist: DistributionSpec, n: int | None = 
             yield -clipped * exf * _placed_weight(beta, iota, alpha)
 
 
-@lru_cache(maxsize=None)
-def boundary_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
-    """Defect of the edge-window coefficients against pure path counts.
-
-    Sums (coefficient - path count) * E[V^beta] over placements whose
-    lowest site falls outside [k, N-k].  Once N > 2k each edge clips a
-    placement by its distance to that edge alone, so the coefficients are
-    read off the profile depth histograms; the cost is independent of N.
-    """
-    if k and n <= 2 * k:
-        raise ValueError("boundary windows require N > 2k")
-    return math.fsum(_edge_defects(k, alpha, dist, n))
-
-
 def boundary_correction_limit(k: int, alpha: float, dist: DistributionSpec) -> float:
-    """Large-N limit of the boundary correction: the left window alone."""
-    return math.fsum(_edge_defects(k, alpha, dist))
-
-
-@lru_cache(maxsize=None)
-def placement_correction(n: int, k: int, alpha: float, dist: DistributionSpec) -> float:
-    """Error from collapsing each placed profile's site weights to its lowest site.
-
-    Profiles occupying a single level contribute nothing; for the rest the
-    per-placement defect prod_h (i+h)^(-alpha*count) - i^(-alpha*weight)
-    is summed exactly over i = 1..N.
-    """
-    if k == 0:
-        return 0.0
-    i = np.arange(1, n + 1, dtype=float)
-    parts = []
-    for beta, count in profile_counts(k).items():
-        if beta.weight == 0 or beta.is_single_level():
-            continue
-        ex = dist.moment_product(beta)
-        if ex == 0:
-            continue
-        diff = _placed_weight(beta, i, alpha) - i ** (-alpha * beta.weight)
-        parts.append(count * float(ex) * math.fsum(diff))
-    return math.fsum(parts)
+    """Large-N limit of the boundary correction of Tr H^k: the left window alone."""
+    return math.fsum(_edge_defects(_profile_table(_unit_row(k)), alpha, dist))
 
 
 @dataclass
@@ -260,47 +192,53 @@ def _check_row(coeffs, n: int) -> None:
 
 def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
           kind: str = "series", tail_bound: float = 0.0) -> ExpansionReport:
-    """Aggregate the decompositions of Tr H^l over the coefficient row c_0..c_K."""
+    """Read the decomposition of sum_l c_l E[Tr H^l] off the row's one profile table.
+
+    The flat-free profile gives the linear and constant terms, each
+    weight-j profile its moment-weighted count to the power-sum
+    coefficient of order j, and each multi-level profile one exact sum of
+    its collapse defect prod_h (i+h)^(-alpha*c_h) - i^(-alpha*weight)
+    over i = 1..N.
+    """
     _check_row(coeffs, n)
-    degree = len(coeffs) - 1
-    linear = 0.0
-    constant = 0.0
-    boundary = 0.0
-    placement = 0.0
-    powersum_coeffs: dict[int, Fraction | float] = {j: Fraction(0) for j in range(1, degree + 1)}
-    for l, c in enumerate(coeffs):
-        if c == 0.0:
+    # integer coefficients keep the table exact (and share the unit rows' tables)
+    table = _profile_table(tuple(int(c) if float(c).is_integer() else c for c in coeffs))
+    free = table.get((), ProfileWindows(0, (), ()))
+    powersum_coeffs = {j: 0 for j in range(1, len(coeffs))}
+    placement = []
+    i = np.arange(1, n + 1, dtype=float)
+    for pairs, win in table.items():
+        if not pairs:
             continue
-        if l == 0:
-            linear += c
+        beta = MultiIndex(pairs)
+        ex = dist.moment_product(beta)
+        if ex == 0:
             continue
-        lin, off = flat_free_constants(l)
-        linear += c * lin
-        constant += c * off
-        boundary += c * boundary_correction(n, l, alpha, dist)
-        placement += c * placement_correction(n, l, alpha, dist)
-        for j in range(1, l + 1):
-            powersum_coeffs[j] = powersum_coeffs[j] + c * power_sum_coefficient(l, j, dist)
+        powersum_coeffs[beta.weight] += win.count * ex
+        if not beta.is_single_level():
+            diff = _placed_weight(beta, i, alpha) - i ** (-alpha * beta.weight)
+            placement.append(win.count * float(ex) * math.fsum(diff))
     return ExpansionReport(
         kind=kind,
         label=label,
         n_sites=n,
         alpha=alpha,
         dist_name=dist.name,
-        linear_coeff=linear,
-        constant_coeff=constant,
-        boundary=boundary,
-        placement=placement,
+        linear_coeff=float(free.count),
+        constant_coeff=float(-sum(d * m for hist in (free.below, free.above)
+                                  for d, m in enumerate(hist))),
+        boundary=math.fsum(_edge_defects(table, alpha, dist, n)),
+        placement=math.fsum(placement),
         powersum_coeffs={j: float(c) for j, c in powersum_coeffs.items()},
         m_cutoff=divergent_power_cutoff(alpha),
-        truncation_degree=degree,
+        truncation_degree=len(coeffs) - 1,
         tail_bound=tail_bound,
     )
 
 
 def power_expansion(k: int, n: int, alpha: float, dist: DistributionSpec) -> ExpansionReport:
     """Full decomposition report for a single power Tr H^k: the fold of the unit row e_k."""
-    return _fold((0.0,) * k + (1.0,), n, alpha, dist, f"x^{k}", kind="power")
+    return _fold(_unit_row(k), n, alpha, dist, f"x^{k}", kind="power")
 
 
 def series_expansion(series: AnalyticSeries, n: int, alpha: float,

@@ -12,14 +12,12 @@ realisation be followed across a growing size grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .series import AnalyticSeries
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -179,29 +177,6 @@ def eigenvalues(sample) -> np.ndarray:
     v = _as_values(sample)
     off = np.ones(max(v.size - 1, 0))
     return np.sort(eigh_tridiagonal(v, off, eigvals_only=True))
-
-
-@dataclass(frozen=True)
-class TraceFResult:
-    value: float
-    degree: int
-    tail_bound: float
-
-
-def trace_f(sample, series: AnalyticSeries, tail_tol: float = 1e-9) -> TraceFResult:
-    """Tr f(H) for a sampled operator, by truncating the coefficient series.
-
-    The truncation degree K is chosen so that the crude per-site bound
-    N * sum_{j>K} |c_j| (2+C_X)^j falls below ``tail_tol`` (polynomials
-    truncate at their degree, tail bound zero).
-    """
-    v = _as_values(sample)
-    dist = getattr(sample, "dist", None)
-    bound = dist.bound if dist is not None else float(np.max(np.abs(v))) if v.size else 0.0
-    coeffs, tail = series.truncate(bound, tail_tol, v.size)
-    moments = trace_moments(v, len(coeffs) - 1)
-    value = math.fsum(c * m for c, m in zip(coeffs, moments) if c != 0.0)
-    return TraceFResult(value=value, degree=len(coeffs) - 1, tail_bound=tail)
 
 
 def dense_matrix(values) -> np.ndarray:

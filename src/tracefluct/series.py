@@ -128,11 +128,6 @@ class AnalyticSeries:
             coeff_fn=lambda j: _exponential_coefficient(rate, j),
         )
 
-    @classmethod
-    def from_coefficients(cls, coeff_fn: Callable[[int], float], radius: float,
-                          case: str, label: str) -> "AnalyticSeries":
-        return cls(label=label, radius=radius, case=case, coeff_fn=coeff_fn)
-
     # -- coefficient access --------------------------------------------------
 
     def coefficient(self, j: int) -> float:
@@ -148,10 +143,6 @@ class AnalyticSeries:
     @property
     def is_polynomial(self) -> bool:
         return self.degree is not None
-
-    @property
-    def alpha_critical(self) -> float:
-        return ALPHA_CRITICAL[self.case]
 
     # -- tails ----------------------------------------------------------------
 

@@ -56,10 +56,6 @@ class SiteMonomial:
     def min_site(self) -> int:
         return self.sites[0][0]
 
-    @property
-    def max_site(self) -> int:
-        return self.sites[-1][0]
-
     def profile(self) -> MultiIndex:
         """The canonical profile of this monomial."""
         return MultiIndex.from_counts(dict(self.sites))

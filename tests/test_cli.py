@@ -91,9 +91,12 @@ def test_paths_k0(capsys):
 
 
 def test_paths_cap_validation(capsys):
-    code, _, err = run_cli(["paths", "--k", "20"], capsys)
-    assert code == 2
+    code, out, err = run_cli(["paths", "--k", "20"], capsys)
+    assert code == 2 and not out
     assert "cap" in err
+    for argv in (["paths", "--k", "-1", "--beta", "delta"], ["paths", "--k", "-1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out and ">= 0" in err
 
 
 # --------------------------------------------------------------- trace-poly
@@ -182,6 +185,8 @@ def test_expansion_validation(capsys):
         ["expansion", "--f", "poly:0,1", "--f", "poly:0,0,1", "--alpha", "0.3", "--N", "100"],
         capsys)
     assert code == 2 and "exactly one --f" in err and not out
+    code, out, err = run_cli(["expansion", "--k", "-1", "--alpha", "0.5", "--N", "30"], capsys)
+    assert code == 2 and ">= 0" in err and not out
 
 
 # ----------------------------------------------------------------- simulate

@@ -1,25 +1,22 @@
 """Exact mean decomposition: constants, corrections, and the oracle identity."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from tracefluct.combinatorics import profile_counts
-from tracefluct.distributions import rademacher, uniform_sqrt3
+from tracefluct.combinatorics import _profile_table, _unit_row, profile_counts
+from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.expansion import (
-    boundary_correction,
     boundary_correction_limit,
     divergent_power_cutoff,
     exact_mean_trace_f,
     exact_mean_trace_power,
-    flat_free_constants,
-    placement_correction,
     power_expansion,
     power_partial_sum,
-    power_sum_coefficient,
     series_expansion,
 )
 from tracefluct.hamiltonian import dense_matrix
@@ -52,44 +49,77 @@ def direct_boundary_correction(n, k, alpha, dist):
     return math.fsum(parts)
 
 
+DEG12_ROW = (0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+
+
+def table_entries(table):
+    """Yield ((profile pairs, field, depth), value) over a profile table's counts and histograms."""
+    for pairs, w in table.items():
+        for field, hist in (("count", (w.count,)), ("below", w.below), ("above", w.above)):
+            for d, v in enumerate(hist):
+                yield (pairs, field, d), v
+
+
+# -------------------------------------------------------------- row tables
+
+
+@pytest.mark.parametrize("row", [(0.5, 1, 1, -2, 2), DEG12_ROW], ids=["mixed", "deg12"])
+def test_row_table_is_linear_in_the_row(row):
+    want = Counter()
+    for l, c in enumerate(row):
+        for key, v in table_entries(_profile_table(_unit_row(l))):
+            want[key] += c * v
+    got = {key: v for key, v in table_entries(_profile_table(row)) if v}
+    assert got == pytest.approx({key: v for key, v in want.items() if v}, rel=1e-15)
+
+
+def test_series_expansion_walks_the_row_once():
+    f = AnalyticSeries.polynomial(DEG12_ROW)  # float coefficients
+    _profile_table.cache_clear()
+    series_expansion(f, 30, 0.2, uniform_sqrt3())
+    assert _profile_table.cache_info().misses == 1
+    # an integer-valued float row shares the integer row's cache entry: it must stay exact
+    assert all(type(w.count) is int for w in _profile_table(DEG12_ROW).values())
+
+
 # ---------------------------------------------------------------- constants
 
 
 def test_flat_free_constants_values():
-    assert flat_free_constants(2) == (2, -2)
-    assert flat_free_constants(4) == (6, -10)
-    assert flat_free_constants(3) == (0, 0)
-    assert flat_free_constants(0) == (1, 0)
+    # the linear and constant terms of Tr H^k come from its flat-free paths alone
+    for k, want in [(2, (2.0, -2.0)), (4, (6.0, -10.0)), (3, (0.0, 0.0)), (0, (1.0, 0.0))]:
+        rep = power_expansion(k, 30, 0.5, rademacher())
+        assert (rep.linear_coeff, rep.constant_coeff) == want
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
 def test_flat_free_constants_vs_dense_trace(k):
-    lin, off = flat_free_constants(k)
+    rep = power_expansion(k, 2 * k + 2, 0.5, rademacher())
     n = 8
     h = dense_matrix(np.zeros(n))
     dense = np.trace(np.linalg.matrix_power(h, k))
-    assert lin * n + off == int(round(dense))
+    assert rep.linear_coeff * n + rep.constant_coeff == int(round(dense))
 
 
 def test_power_sum_coefficient_examples():
-    assert power_sum_coefficient(4, 2, rademacher()) == 8
-    assert power_sum_coefficient(2, 2, uniform_sqrt3()) == 1
+    assert power_expansion(4, 30, 0.5, rademacher()).powersum_coeffs[2] == 8
+    assert power_expansion(2, 30, 0.5, uniform_sqrt3()).powersum_coeffs[2] == 1
     # weight 4 at k=4 is the all-flat path; fourth moment 9/5
-    assert power_sum_coefficient(4, 4, uniform_sqrt3()) == Fraction(9, 5)
+    assert power_expansion(4, 30, 0.5, uniform_sqrt3()).powersum_coeffs[4] == 1.8
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 @pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
 def test_first_order_coefficient_vanishes(k, dist):
-    assert power_sum_coefficient(k, 1, dist) == 0
+    assert power_expansion(k, 2 * k + 2, 0.5, dist).powersum_coeffs[1] == 0
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_coefficient_parity(k):
-    d = uniform_sqrt3()
+    coeffs = power_expansion(k, 2 * k + 2, 0.5, uniform_sqrt3()).powersum_coeffs
     for j in range(1, k + 1):
         if (k - j) % 2 == 1:
-            assert power_sum_coefficient(k, j, d) == 0
+            assert coeffs[j] == 0
 
 
 # --------------------------------------------------------------- power sums
@@ -128,17 +158,17 @@ def test_divergent_power_cutoff():
 
 
 def test_boundary_trivial_cases():
-    assert boundary_correction(30, 1, 0.5, rademacher()) == 0.0
-    assert boundary_correction(10, 2, 0.5, rademacher()) == 0.0
+    assert power_expansion(1, 30, 0.5, rademacher()).boundary == 0.0
+    assert power_expansion(2, 10, 0.5, rademacher()).boundary == 0.0
     with pytest.raises(ValueError, match="N > 2k"):
-        boundary_correction(8, 4, 0.5, rademacher())
+        power_expansion(4, 8, 0.5, rademacher())
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12])
 @pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
 def test_boundary_matches_direct_window_sum(k, dist):
     for n in (2 * k + 2, 25, 40) if k <= 6 else (2 * k + 2, 40):
-        got = boundary_correction(n, k, 0.45, dist)
+        got = power_expansion(k, n, 0.45, dist).boundary
         want = direct_boundary_correction(n, k, 0.45, dist)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
@@ -146,9 +176,7 @@ def test_boundary_matches_direct_window_sum(k, dist):
 def test_boundary_left_window_stable_right_window_decays():
     k, alpha, dist = 4, 0.5, rademacher()
     limit = boundary_correction_limit(k, alpha, dist)
-    b20 = boundary_correction(20, k, alpha, dist)
-    b40 = boundary_correction(40, k, alpha, dist)
-    b800 = boundary_correction(800, k, alpha, dist)
+    b20, b40, b800 = (power_expansion(k, n, alpha, dist).boundary for n in (20, 40, 800))
     # the left-window part is N-independent; the rest shrinks toward 0
     assert abs(b800 - limit) < abs(b40 - limit) < abs(b20 - limit)
     assert abs(b800 - limit) < 5e-3
@@ -159,23 +187,23 @@ def test_boundary_left_window_stable_right_window_decays():
 
 def test_placement_trivial_cases():
     # single-level profiles carry no collapse error
-    assert placement_correction(50, 2, 0.5, uniform_sqrt3()) == 0.0
+    assert power_expansion(2, 50, 0.5, uniform_sqrt3()).placement == 0.0
     # all surviving profiles at k=4 under a symmetric law are single-level
     for n in (10, 100, 1000):
-        assert placement_correction(n, 4, 0.5, rademacher()) == 0.0
+        assert power_expansion(4, n, 0.5, rademacher()).placement == 0.0
 
 
 def test_placement_bound_and_monotonicity():
     k, alpha, d = 6, 0.5, uniform_sqrt3()
     prev = None
     for n in (10**2, 10**3, 10**4):
-        val = placement_correction(n, k, alpha, d)
+        val = power_expansion(k, n, alpha, d).placement
         if prev is not None:
             assert val <= prev + 1e-15  # decreasing: the collapse defect accumulates
         prev = val
     # successive values differ by less than the remaining tail allows
-    assert abs(placement_correction(10**4, k, alpha, d)
-               - placement_correction(10**3, k, alpha, d)) < 1e-3
+    assert abs(power_expansion(k, 10**4, alpha, d).placement
+               - power_expansion(k, 10**3, alpha, d).placement) < 1e-3
 
 
 # ------------------------------------------------------------- exact means
@@ -190,7 +218,9 @@ def test_exact_mean_k1_and_k2():
 
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
-@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
+@pytest.mark.parametrize("dist", [
+    rademacher(), uniform_sqrt3(), two_point(2, Fraction(-1, 2), Fraction(1, 5)),
+], ids=["rad", "uni", "two"])
 def test_exact_mean_matches_symbolic(k, alpha, dist):
     for n in (2 * k + 2, 30):
         fast = exact_mean_trace_power(n, k, alpha, dist)

@@ -10,9 +10,9 @@ from tracefluct.hamiltonian import (
     derive_seed,
     eigenvalues,
     sample_potential,
-    trace_f,
     trace_moments,
 )
+from tracefluct.montecarlo import EnsembleConfig, run_ensemble
 from tracefluct.series import AnalyticSeries
 
 
@@ -176,36 +176,37 @@ def test_spectrum_inclusion():
         assert np.all(lam <= edge + 1e-9)
 
 
-# ------------------------------------------------------------------ trace_f
+# ------------------------------------------ Tr f(H) of one ensemble replica
+
+
+def replica_trace(f, n, alpha, dist, seed):
+    """Replica 0's raw Tr f(H) from run_ensemble, with that replica's potential."""
+    config = EnsembleConfig(alpha=alpha, dist=dist, functions=(f,), n_grid=(n,),
+                            replicas=1, base_seed=seed)
+    raw = run_ensemble(config).raw[0, 0, 0]
+    return raw, sample_potential(n, alpha, dist, derive_seed(seed, 0))
 
 
 def test_trace_f_linear():
-    s = sample_potential(37, 0.45, rademacher(), seed=5)
-    res = trace_f(s, AnalyticSeries.monomial(1))
-    assert res.value == pytest.approx(np.sum(s.values), rel=1e-14)
-    assert res.tail_bound == 0.0
+    raw, s = replica_trace(AnalyticSeries.monomial(1), 37, 0.45, rademacher(), 5)
+    assert raw == pytest.approx(np.sum(s.values), rel=1e-14)
 
 
 def test_trace_f_odd_free_operator():
+    # Tr H^3 - 6 Tr H = sum V^3 - 3 (V_1 + V_N): zero on the free operator
     f = AnalyticSeries.polynomial([0, -6, 0, 1])
-    res = trace_f(np.zeros(10), f)
-    assert res.value == 0.0
+    raw, s = replica_trace(f, 40, 0.45, uniform_sqrt3(), 7)
+    v = s.values
+    assert raw == pytest.approx(np.sum(v**3) - 3 * (v[0] + v[-1]), rel=1e-12, abs=1e-12)
 
 
 def test_trace_f_exponential_vs_eigensolver():
-    s = sample_potential(100, 0.5, rademacher(), seed=3)
-    f = AnalyticSeries.exponential(1 / 8)
-    res = trace_f(s, f, tail_tol=1e-9)
-    lam = eigenvalues(s)
-    oracle = np.sum(np.exp(lam / 8.0))
-    assert res.tail_bound <= 1e-9
-    assert res.value == pytest.approx(oracle, abs=1e-7)
+    raw, s = replica_trace(AnalyticSeries.exponential(1 / 8), 100, 0.5, rademacher(), 3)
+    oracle = np.sum(np.exp(eigenvalues(s) / 8.0))
+    assert raw == pytest.approx(oracle, abs=1e-7)
 
 
 def test_trace_f_radius_rejected():
-    s = sample_potential(10, 0.5, rademacher(), seed=1)
-    tight = AnalyticSeries.from_coefficients(
-        lambda j: 2.5**-j, radius=2.5, case="A", label="tight"
-    )
+    tight = AnalyticSeries(label="tight", radius=2.5, case="A", coeff_fn=lambda j: 2.5**-j)
     with pytest.raises(ValueError, match="radius"):
-        trace_f(s, tight)
+        replica_trace(tight, 10, 0.5, rademacher(), 1)

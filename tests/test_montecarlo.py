@@ -179,8 +179,8 @@ def test_case_a_infinite_series():
 
 def test_case_a_refuses_uncertifiable_tail():
     # terms of the single-flat series decay too slowly to certify a tail
-    slow = AnalyticSeries.from_coefficients(
-        lambda j: 2.2**-j, radius=2.2, case="A", label="slow"
+    slow = AnalyticSeries(
+        label="slow", radius=2.2, case="A", coeff_fn=lambda j: 2.2**-j
     )
     with pytest.raises(ValueError, match="summable"):
         case_a_sigma_sq(slow, rademacher())

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from tracefluct.series import (
+    ALPHA_CRITICAL,
     CASE_A,
     CASE_B,
     CASE_C,
@@ -48,10 +49,10 @@ def test_monomial_and_alpha_critical():
     f = AnalyticSeries.monomial(3)
     assert f.coefficient(3) == 1.0
     assert f.case == CASE_A
-    assert f.alpha_critical == 0.5
-    assert AnalyticSeries.monomial(2).alpha_critical == 0.25
+    assert ALPHA_CRITICAL[f.case] == 0.5
+    assert ALPHA_CRITICAL[AnalyticSeries.monomial(2).case] == 0.25
     g = AnalyticSeries.polynomial([0, -6, 0, 1])
-    assert g.alpha_critical == pytest.approx(1 / 6)
+    assert ALPHA_CRITICAL[g.case] == pytest.approx(1 / 6)
 
 
 def test_exponential_series_tail():
@@ -67,8 +68,8 @@ def test_exponential_series_tail():
 
 
 def test_radius_check():
-    slow = AnalyticSeries.from_coefficients(
-        lambda j: 2.0**-j, radius=2.0, case=CASE_A, label="geometric"
+    slow = AnalyticSeries(
+        label="geometric", radius=2.0, case=CASE_A, coeff_fn=lambda j: 2.0**-j
     )
     with pytest.raises(ValueError, match="radius"):
         require_radius(slow, bound=1.0)
@@ -77,8 +78,8 @@ def test_radius_check():
 
 def test_tail_refuses_non_geometric():
     # radius 3.5 series probed at x = 3.5: terms do not decay
-    s = AnalyticSeries.from_coefficients(
-        lambda j: 3.5**-j, radius=3.5, case=CASE_A, label="edge"
+    s = AnalyticSeries(
+        label="edge", radius=3.5, case=CASE_A, coeff_fn=lambda j: 3.5**-j
     )
     with pytest.raises(ValueError, match="geometric"):
         s.tail_majorant(5, 3.5)
