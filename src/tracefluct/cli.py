@@ -276,7 +276,7 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     result = run_ensemble(config)
     t_ensemble = time.perf_counter()
-    reports_s = 0.0  # clt_check and joint_correlation; the rest after t_ensemble is writing
+    reports_s = 0.0  # variances, clt_check, joint_correlation; the rest after t_ensemble is writing
     out_dir = Path(args.out or "tracefluct-run")
     out_dir.mkdir(parents=True, exist_ok=True)
     config_echo = config.to_dict()
@@ -301,8 +301,8 @@ def cmd_simulate(args) -> int:
         print(f"warning: alpha={config.alpha:g} is above the critical exponent "
               f"{result.alpha_c:g}; no normal-limit report", file=sys.stderr)
     else:
-        theory = {f.label: sigma_sq_for(f, dist) for f in functions}
         t = time.perf_counter()
+        theory = {f.label: sigma_sq_for(f, dist) for f in functions}
         report = clt_check(result, sigma_theory=theory)
         reports_s += time.perf_counter() - t
         payload = {"format_version": FORMAT_VERSION, "config": config_echo,
@@ -326,6 +326,7 @@ def cmd_simulate(args) -> int:
     ensemble_s = t_ensemble - t0
     _write_sidecar(out_dir, {
         "ensemble_s": ensemble_s,
+        "center_s": result.center_s,
         "reports_s": reports_s,
         "write_s": time.perf_counter() - t_ensemble - reports_s,
         "replicas_per_s": config.replicas / ensemble_s,

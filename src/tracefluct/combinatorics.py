@@ -150,10 +150,6 @@ class LatticePath:
         """Canonical profile of this path's flat steps."""
         return MultiIndex.from_levels(self.flat_levels())
 
-    def level_range(self) -> int:
-        ys = self.levels()
-        return max(ys) - min(ys)
-
     def __str__(self) -> str:
         return "".join(_STEP_CHARS[s] for s in self.steps) or "(empty)"
 
@@ -234,6 +230,16 @@ def _unit_row(k: int) -> tuple[int, ...]:
         raise ValueError("path length must be >= 0")
     _check_cap(k)
     return (0,) * k + (1,)
+
+
+def _row_key(coeffs) -> tuple:
+    """A coefficient row as a ``_profile_table`` key: integer-valued coefficients become ints.
+
+    Integer counts keep the table exact, and a float row equal to an
+    integer row shares its cache entry, so every user of one row walks it
+    once.
+    """
+    return tuple(int(c) if float(c).is_integer() else c for c in coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,9 @@ where ``coeff_j`` sums path counts against moments over the canonical
 weight-j profiles.  Everything is evaluated without asymptotic
 approximation and without the symbolic polynomial, which stays an
 independent oracle; the decomposition reproduces it to rounding error.
+The site sums over i = 1..N all read one array u_i = i^(-alpha): the
+powers u^j are running products and each sum is numpy's pairwise sum,
+whose error for these same-sign terms is a few eps * log2(N) relative.
 
 One fold, ``_fold``, reads the decomposition of a coefficient row
 c_0..c_K off that row's one profile table in
@@ -26,11 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import MultiIndex, ProfileWindows, _check_cap, _profile_table, _unit_row
+from .combinatorics import (
+    MultiIndex,
+    ProfileWindows,
+    _check_cap,
+    _profile_table,
+    _row_key,
+    _unit_row,
+)
 from .distributions import DistributionSpec
 from .series import AnalyticSeries
 
@@ -47,27 +56,44 @@ def divergent_power_cutoff(alpha: float) -> int:
     return max(0, math.floor((1.0 + _EPS_CUTOFF) / alpha))
 
 
-@lru_cache(maxsize=None)
+def _decay(m: int, alpha: float) -> np.ndarray:
+    """u_i = i^(-alpha) for the sites i = 1..m, the one array every site sum reads."""
+    return np.arange(1, m + 1, dtype=float) ** -alpha
+
+
+def _decay_powers(u: np.ndarray, n: int, top: int):
+    """Yield (j, u_i^j over i = 1..n) for j = 1..top, each power one product from the last."""
+    p = u[:n]
+    for j in range(1, top + 1):
+        if j > 1:
+            p = p * u[:n]
+        yield j, p
+
+
 def power_partial_sum(n: int, j: int, alpha: float) -> float:
-    """sum_{i=1..n} i^(-j*alpha), by direct compensated summation."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    i = np.arange(1, n + 1, dtype=float)
-    return math.fsum(i ** (-j * alpha))
+    """sum_{i=1..n} i^(-j*alpha): the running product of i^(-alpha), pairwise-summed by numpy."""
+    if n < 1 or j < 1:
+        raise ValueError("need n >= 1 and j >= 1")
+    for _, p in _decay_powers(_decay(n, alpha), n, j):
+        pass
+    return float(p.sum())
 
 
-def _placed_weight(beta: MultiIndex, i, alpha: float):
-    """prod_h (i+h)^(-alpha*c_h): the decay weight of ``beta`` placed with lowest site ``i``.
+def _placed_weight(beta: MultiIndex, u: np.ndarray, start: int, n: int) -> np.ndarray:
+    """prod_h (i+h)^(-alpha*c_h) over i = start..start+n-1: ``beta`` placed with lowest site i.
 
-    ``i`` is one site or an array of sites.
+    ``u`` is ``_decay`` over at least start + n - 1 + span(beta) sites;
+    the integer powers are products.
     """
-    w = 1.0
+    w = None
     for h, c in beta.pairs:
-        w = w * (i + h) ** (-alpha * c)
+        seg = u[start - 1 + h:start - 1 + h + n]
+        for _ in range(c):
+            w = seg.copy() if w is None else w * seg
     return w
 
 
-def _edge_defects(table, alpha: float, dist: DistributionSpec, n: int | None = None):
+def _edge_defects(table, u: np.ndarray, dist: DistributionSpec, n: int | None = None):
     """Yield (coefficient - path count) * E[V^beta] * weight over the clipped placements.
 
     A path of profile beta placed with its lowest flat at site iota leaves
@@ -87,19 +113,21 @@ def _edge_defects(table, alpha: float, dist: DistributionSpec, n: int | None = N
         if ex == 0:
             continue
         exf = float(ex)
-        for iota in range(1, len(win.below)):
-            clipped = sum(win.below[iota:])
-            yield -clipped * exf * _placed_weight(beta, iota, alpha)
+        clipped = [sum(win.below[iota:]) for iota in range(1, len(win.below))]
+        weights = _placed_weight(beta, u, 1, len(clipped)).tolist()
+        yield from (-a * exf * w for a, w in zip(clipped, weights))
         if n is None:
             continue
-        for iota in range(n - beta.span - len(win.above) + 2, n + 1):
-            clipped = sum(win.above[max(n - iota - beta.span + 1, 0):])
-            yield -clipped * exf * _placed_weight(beta, iota, alpha)
+        start = n - beta.span - len(win.above) + 2
+        clipped = [sum(win.above[max(n - iota - beta.span + 1, 0):])
+                   for iota in range(start, n + 1)]
+        weights = _placed_weight(beta, u, start, len(clipped)).tolist()
+        yield from (-a * exf * w for a, w in zip(clipped, weights))
 
 
 def boundary_correction_limit(k: int, alpha: float, dist: DistributionSpec) -> float:
     """Large-N limit of the boundary correction of Tr H^k: the left window alone."""
-    return math.fsum(_edge_defects(_profile_table(_unit_row(k)), alpha, dist))
+    return math.fsum(_edge_defects(_profile_table(_unit_row(k)), _decay(k + 1, alpha), dist))
 
 
 @dataclass
@@ -127,21 +155,15 @@ class ExpansionReport:
     boundary: float
     placement: float
     powersum_coeffs: dict[int, float]
+    powersums: dict[int, float]  # S_j(N) for every order j of powersum_coeffs
     m_cutoff: int
     truncation_degree: int
     tail_bound: float
 
     @property
-    def powersums(self) -> dict[int, float]:
-        """S_j(N) for every order j of ``powersum_coeffs``."""
-        return {j: power_partial_sum(self.n_sites, j, self.alpha) for j in self.powersum_coeffs}
-
-    @property
     def reconstructed_mean(self) -> float:
-        # a zero coefficient adds exactly 0.0, so its S_j is never computed
         tail = math.fsum(
-            c * power_partial_sum(self.n_sites, j, self.alpha)
-            for j, c in self.powersum_coeffs.items() if c != 0.0
+            c * self.powersums[j] for j, c in self.powersum_coeffs.items() if c != 0.0
         )
         return (self.linear_coeff * self.n_sites + self.constant_coeff
                 + self.boundary + self.placement + tail)
@@ -149,7 +171,7 @@ class ExpansionReport:
     @property
     def remainder(self) -> float:
         beyond = math.fsum(
-            c * power_partial_sum(self.n_sites, j, self.alpha)
+            c * self.powersums[j]
             for j, c in self.powersum_coeffs.items() if c != 0.0 and j > self.m_cutoff
         )
         return self.constant_coeff + self.boundary + self.placement + beyond
@@ -196,17 +218,17 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
 
     The flat-free profile gives the linear and constant terms, each
     weight-j profile its moment-weighted count to the power-sum
-    coefficient of order j, and each multi-level profile one exact sum of
-    its collapse defect prod_h (i+h)^(-alpha*c_h) - i^(-alpha*weight)
-    over i = 1..N.
+    coefficient of order j, and each multi-level profile one sum of its
+    collapse defect prod_h (i+h)^(-alpha*c_h) - i^(-alpha*weight) over
+    i = 1..N.  Every site sum reads one array u_i = i^(-alpha): S_j(N)
+    and the weight-j defects share the running power u^j.
     """
     _check_row(coeffs, n)
-    # integer coefficients keep the table exact (and share the unit rows' tables)
-    table = _profile_table(tuple(int(c) if float(c).is_integer() else c for c in coeffs))
+    table = _profile_table(_row_key(coeffs))
     free = table.get((), ProfileWindows(0, (), ()))
-    powersum_coeffs = {j: 0 for j in range(1, len(coeffs))}
-    placement = []
-    i = np.arange(1, n + 1, dtype=float)
+    top = len(coeffs) - 1
+    powersum_coeffs = {j: 0 for j in range(1, top + 1)}
+    spread: dict[int, list] = {}  # weight -> (multi-level profile, count * moment)
     for pairs, win in table.items():
         if not pairs:
             continue
@@ -216,8 +238,15 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
             continue
         powersum_coeffs[beta.weight] += win.count * ex
         if not beta.is_single_level():
-            diff = _placed_weight(beta, i, alpha) - i ** (-alpha * beta.weight)
-            placement.append(win.count * float(ex) * math.fsum(diff))
+            spread.setdefault(beta.weight, []).append((beta, win.count * float(ex)))
+    u = _decay(n + top, alpha)  # a profile of a K-path spans fewer than K levels
+    powersums, placement = {}, []
+    for j, p in _decay_powers(u, n, top):
+        powersums[j] = float(p.sum())
+        for beta, scale in spread.get(j, ()):
+            defect = _placed_weight(beta, u, 1, n)
+            defect -= p
+            placement.append(scale * float(defect.sum()))
     return ExpansionReport(
         kind=kind,
         label=label,
@@ -227,11 +256,12 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
         linear_coeff=float(free.count),
         constant_coeff=float(-sum(d * m for hist in (free.below, free.above)
                                   for d, m in enumerate(hist))),
-        boundary=math.fsum(_edge_defects(table, alpha, dist, n)),
+        boundary=math.fsum(_edge_defects(table, u, dist, n)),
         placement=math.fsum(placement),
         powersum_coeffs={j: float(c) for j, c in powersum_coeffs.items()},
+        powersums=powersums,
         m_cutoff=divergent_power_cutoff(alpha),
-        truncation_degree=len(coeffs) - 1,
+        truncation_degree=top,
         tail_bound=tail_bound,
     )
 

@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import (
-    MultiIndex,
-    profile_count,
-    same_level_pair_count,
-    single_flat_count,
-)
+from .combinatorics import MultiIndex, _check_cap, _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
 from .expansion import _check_row, _fold
 from .hamiltonian import _prefix_trace_moments, derive_seed, sample_potential
@@ -121,6 +117,7 @@ class EnsembleResult:
     n_grid: tuple[int, ...]
     raw: np.ndarray       # shape (replicas, functions, grid sizes)
     centers: np.ndarray   # shape (functions, grid sizes)
+    center_s: float       # wall time of the centering loop; never written to an artifact
 
     def _fi(self, f_label: str) -> int:
         return self.f_labels.index(f_label)
@@ -202,11 +199,13 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
             ]
             raw = np.concatenate([fut.result() for fut in futures], axis=0)
 
+    t0 = time.perf_counter()
     centers = np.array([
         [_fold(row, n, config.alpha, config.dist, f.label).reconstructed_mean
          for n in config.n_grid]
         for f, row in zip(config.functions, coeff_rows)
     ])
+    center_s = time.perf_counter() - t0
     return EnsembleResult(
         config=config,
         case=case,
@@ -215,6 +214,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         n_grid=tuple(config.n_grid),
         raw=raw,
         centers=centers,
+        center_s=center_s,
     )
 
 
@@ -257,8 +257,8 @@ def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
 
     Two pieces: the shared-level flat pairs against the fourth-moment
     excess, plus split-level pairs at each separation against the squared
-    variance.  Path counts come from the closed form (shared level) and
-    enumeration (split levels).
+    variance.  Each amplitude sum_j c_j * (path count) is one entry of the
+    coefficient row's profile table, the table the ensemble centers read.
     """
     if series.is_polynomial:
         if any(series.coefficient(j) != 0 for j in range(1, series.degree + 1, 2)):
@@ -269,20 +269,20 @@ def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
     else:
         raise ValueError(f"{series.label} is not tagged as a case B function")
 
+    _check_cap(degree)
+    table = _profile_table(_row_key(series.coefficients_upto(degree)))
     s_hi = max((degree - 2) // 2 + 1, 1)
     fourth_excess = float(dist.moment(4) - dist.variance**2)
     eta_four = float(dist.variance) ** 2
 
-    shared = math.fsum(
-        series.coefficient(j) * same_level_pair_count(j)
-        for j in range(2, degree + 1, 2)
-    )
+    def amplitude(beta: MultiIndex) -> float:
+        win = table.get(beta.pairs)
+        return float(win.count) if win else 0.0
+
+    shared = amplitude(MultiIndex.two_delta())
     total = shared * shared * fourth_excess
     for s in range(1, s_hi + 1):
-        split = math.fsum(
-            series.coefficient(j) * profile_count(j, MultiIndex.delta_pair(s))
-            for j in range(2, degree + 1, 2)
-        )
+        split = amplitude(MultiIndex.delta_pair(s))
         total += split * split * eta_four
     return total
 

@@ -207,7 +207,7 @@ def test_simulate_artifacts(tmp_path, capsys):
     corr = (tmp_path / "correlation.csv").read_text()
     assert "N,f_i,f_j,correlation" in corr
     assert_phase_times(tmp_path / "run_info.txt",
-                       ["ensemble_s", "reports_s", "write_s", "replicas_per_s"])
+                       ["ensemble_s", "center_s", "reports_s", "write_s", "replicas_per_s"])
 
 
 def test_simulate_reproducible(tmp_path, capsys):

@@ -93,7 +93,6 @@ def test_levels_match_steps():
     p = LatticePath((UP, UP, DOWN, DOWN))
     assert p.levels() == (0, 1, 2, 1, 0)
     assert p.is_closed
-    assert p.level_range() == 2
 
 
 def test_flat_profile_examples():
@@ -110,11 +109,6 @@ def test_flat_profile_examples():
 def test_flat_profile_requires_closed():
     with pytest.raises(ValueError):
         flat_profile(LatticePath((UP,)))
-
-
-def test_path_range_examples():
-    assert LatticePath((UP, DOWN, UP, DOWN)).level_range() == 1
-    assert LatticePath(()).level_range() == 0
 
 
 # --------------------------------------------------------------- enumeration

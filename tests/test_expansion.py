@@ -7,8 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
-from tracefluct.combinatorics import _profile_table, _unit_row, profile_counts
+from tracefluct.combinatorics import MultiIndex, _profile_table, _unit_row, profile_counts
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.expansion import (
     boundary_correction_limit,
@@ -129,6 +130,54 @@ def test_power_partial_sum_values():
     assert power_partial_sum(1, 3, 0.5) == 1.0
     h100 = sum(1.0 / i for i in range(1, 101))
     assert power_partial_sum(100, 2, 0.5) == pytest.approx(h100, rel=1e-14)
+
+
+def compensated_power_sum(n, j, alpha):
+    """Oracle: sum_{i<=n} i^(-j*alpha) from pow on each site, summed exactly rounded."""
+    i = np.arange(1, n + 1, dtype=float)
+    return math.fsum(i ** (-j * alpha))
+
+
+def compensated_placement(row, n, alpha, dist):
+    """Oracle: the placement correction from pow-built collapse defects, each summed by fsum."""
+    i = np.arange(1, n + 1, dtype=float)
+    parts = []
+    for pairs, win in _profile_table(row).items():
+        beta = MultiIndex(pairs)
+        ex = dist.moment_product(beta)
+        if beta.is_single_level() or ex == 0:
+            continue
+        placed = np.ones(n)
+        for h, c in pairs:
+            placed = placed * (i + h) ** (-alpha * c)
+        parts.append(win.count * float(ex) * math.fsum(placed - i ** (-alpha * beta.weight)))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5])
+@pytest.mark.parametrize("j", range(6, 13))
+def test_power_partial_sum_matches_hurwitz_zeta(j, n):
+    # j * alpha > 1: S_j(N) = zeta(j*alpha) - zeta(j*alpha, N + 1)
+    want = float(zeta(j * 0.2) - zeta(j * 0.2, n + 1))
+    assert power_partial_sum(n, j, 0.2) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5])
+@pytest.mark.parametrize("j", range(1, 6))
+def test_power_partial_sum_matches_compensated_sum(j, n):
+    # j * alpha <= 1, where the zeta values diverge
+    assert power_partial_sum(n, j, 0.2) == pytest.approx(
+        compensated_power_sum(n, j, 0.2), rel=1e-13)
+
+
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
+def test_deg12_site_sums_match_compensated_sums(dist):
+    n, alpha = 10**5, 0.2
+    rep = series_expansion(AnalyticSeries.polynomial(DEG12_ROW), n, alpha, dist)
+    assert rep.placement == pytest.approx(compensated_placement(DEG12_ROW, n, alpha, dist),
+                                          rel=1e-13)
+    assert rep.powersums == pytest.approx(
+        {j: compensated_power_sum(n, j, alpha) for j in range(1, 13)}, rel=1e-13)
 
 
 def test_power_partial_sum_log_growth():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from tracefluct.combinatorics import FLAT, enumerate_closed_paths, MultiIndex
+from tracefluct.combinatorics import FLAT, MultiIndex, _profile_table, enumerate_closed_paths
 from tracefluct.distributions import rademacher, uniform_sqrt3
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
@@ -199,6 +199,25 @@ def test_case_b_matches_brute_force():
                    [0, 0, 0, 0, 0, 0, 0, 0, 1]):
         f = AnalyticSeries.polynomial(coeffs)
         assert case_b_sigma_sq(f, u) == pytest.approx(brute_sigma_b(f.coeffs, u), abs=1e-12)
+
+
+DEG12 = AnalyticSeries.polynomial([0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+
+
+@pytest.mark.parametrize(("dist", "want"), [(uniform_sqrt3(), 128882991.2),
+                                            (rademacher(), 80994056.0)], ids=["uni", "rad"])
+def test_case_b_deg12_pinned(dist, want):
+    assert sigma_sq_for(DEG12, dist) == pytest.approx(want, rel=1e-15)
+
+
+def test_ensemble_and_variance_walk_the_row_once():
+    # the centers and the case B amplitudes read one profile table of the row
+    _profile_table.cache_clear()
+    dist = uniform_sqrt3()
+    run_ensemble(EnsembleConfig(alpha=0.2, dist=dist, functions=(DEG12,), n_grid=(30,),
+                                replicas=2, base_seed=5))
+    sigma_sq_for(DEG12, dist)
+    assert _profile_table.cache_info().misses == 1
 
 
 def test_case_b_rejects_odd():
