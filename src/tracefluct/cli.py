@@ -269,7 +269,6 @@ def cmd_simulate(args) -> int:
         n_grid=n_grid,
         replicas=int(args.replicas),
         base_seed=int(args.seed),
-        case=args.case,
         tail_tol=float(args.tail_tol) if args.tail_tol is not None else 1e-9,
         workers=int(args.workers) if args.workers is not None else 1,
     )
@@ -281,14 +280,13 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config_echo = config.to_dict()
 
-    scaled_defined = config.alpha <= result.alpha_c + 1e-12
     lines = _config_header(config_echo)
     lines.append("replica,f_id,N,raw_trace,centered,scaled")
     for fi, f in enumerate(result.f_labels):
         for n in result.n_grid:
             raw = result.raw_traces(f, n)
             centered = result.centered(f, n)
-            scaled = result.scaled(f, n) if scaled_defined else None
+            scaled = result.scaled(f, n) if result.scaled_defined else None
             for r in range(config.replicas):
                 s = _fmt(scaled[r]) if scaled is not None else ""
                 lines.append(f"{r},{f},{n},{_fmt(raw[r])},{_fmt(centered[r])},{s}")
@@ -297,8 +295,8 @@ def cmd_simulate(args) -> int:
     if config.replicas < 100:
         print(f"warning: {config.replicas} replicas < 100, skipping the variance report",
               file=sys.stderr)
-    elif not scaled_defined:
-        print(f"warning: alpha={config.alpha:g} is above the critical exponent "
+    elif not result.scaled_defined:
+        print(f"warning: alpha={config.alpha!r} is above the critical exponent "
               f"{result.alpha_c:g}; no normal-limit report", file=sys.stderr)
     else:
         t = time.perf_counter()
@@ -404,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--dist")
-    p.add_argument("--case", choices=("A", "B", "C"))
     p.add_argument("--workers", type=int, help="0 = all cores")
     p.add_argument("--tail-tol", dest="tail_tol", type=float)
     add_common(p)

@@ -115,8 +115,8 @@ def rademacher() -> DistributionSpec:
 
 def uniform_symmetric(half_width: float, exact_square: int | Fraction | None = None) -> DistributionSpec:
     """Uniform on [-a, a].  Pass ``exact_square`` = a^2 for exact even moments."""
-    if half_width <= 0:
-        raise ValueError("half width must be positive")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half width must be positive and finite, got {half_width}")
     hw_sq = None if exact_square is None else Fraction(exact_square)
     if hw_sq is not None and not math.isclose(float(hw_sq), half_width**2, rel_tol=1e-12):
         raise ValueError("exact_square disagrees with half_width**2")

@@ -223,6 +223,8 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
     i = 1..N.  Every site sum reads one array u_i = i^(-alpha): S_j(N)
     and the weight-j defects share the running power u^j.
     """
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
     _check_row(coeffs, n)
     table = _profile_table(_row_key(coeffs))
     free = table.get((), ProfileWindows(0, (), ()))

@@ -29,7 +29,6 @@ from .expansion import _check_row, _fold
 from .hamiltonian import _prefix_trace_moments, derive_seed, sample_potential
 from .series import ALPHA_CRITICAL, AnalyticSeries
 
-_SIGMA_MAX_TERMS = 300
 #: Certified tail of the case A single-flat series, relative to its sum.
 _SIGMA_TAIL_TOL = 1e-12
 
@@ -68,13 +67,12 @@ class EnsembleConfig:
     n_grid: tuple[int, ...]
     replicas: int
     base_seed: int
-    case: str | None = None       # override; otherwise inferred from the functions
     tail_tol: float = 1e-9
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.functions:
             raise ValueError("need at least one test function")
         if self.replicas < 0:
@@ -85,8 +83,6 @@ class EnsembleConfig:
             raise ValueError("the size grid must be strictly increasing with N >= 2")
 
     def resolved_case(self) -> str:
-        if self.case is not None:
-            return self.case
         cases = {f.case for f in self.functions}
         if len(cases) != 1:
             raise ValueError(f"test functions mix fluctuation cases {sorted(cases)}")
@@ -131,14 +127,18 @@ class EnsembleResult:
     def centered(self, f_label: str, n: int) -> np.ndarray:
         return self.raw_traces(f_label, n) - self.centers[self._fi(f_label), self._ni(n)]
 
+    @property
+    def scaled_defined(self) -> bool:
+        """Whether alpha is at most the critical exponent, where the normalised fluctuation exists."""
+        return self.config.alpha / self.alpha_c <= 1.0 + 1e-12
+
     def scaling_t(self) -> float:
-        t = self.config.alpha / self.alpha_c
-        if t > 1.0 + 1e-12:
+        if not self.scaled_defined:
             raise ValueError(
                 f"alpha={self.config.alpha:g} exceeds the critical exponent "
                 f"{self.alpha_c:g}; the normalised fluctuation is not defined"
             )
-        return min(t, 1.0)
+        return min(self.config.alpha / self.alpha_c, 1.0)
 
     def scaled(self, f_label: str, n: int, t: float | None = None) -> np.ndarray:
         scale = ScalingFunction(self.scaling_t() if t is None else t)
@@ -172,9 +172,6 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     worker count.
     """
     case = config.resolved_case()
-    alpha_c = ALPHA_CRITICAL.get(case)
-    if alpha_c is None:
-        raise ValueError(f"case {case!r} has no critical exponent; tag the functions A, B or C")
     if not config.dist.samplable:
         raise ValueError(f"{config.dist.name} cannot be sampled")
     coeff_rows = tuple(tuple(f.truncate(config.dist.bound, config.tail_tol, config.n_grid[-1])[0])
@@ -209,7 +206,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     return EnsembleResult(
         config=config,
         case=case,
-        alpha_c=alpha_c,
+        alpha_c=ALPHA_CRITICAL[case],
         f_labels=tuple(f.label for f in config.functions),
         n_grid=tuple(config.n_grid),
         raw=raw,
@@ -228,28 +225,8 @@ def case_a_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
     counts, times the law's variance.  Infinite series are summed until
     the remaining tail is certified below ``_SIGMA_TAIL_TOL`` of the sum.
     """
-    eta_sq = float(dist.variance)
-    if series.is_polynomial:
-        kernel = math.fsum(
-            series.coefficient(j) * single_flat_count(j)
-            for j in range(1, series.degree + 1, 2)
-        )
-        return kernel * kernel * eta_sq
-    kernel = 0.0
-    prev = None
-    for j in range(1, _SIGMA_MAX_TERMS, 2):
-        term = series.coefficient(j) * single_flat_count(j)
-        kernel += term
-        size = abs(term)
-        if prev is not None and prev > 0 and size / prev < 0.5:
-            tail = size * (size / prev) / (1.0 - size / prev)
-            if tail <= _SIGMA_TAIL_TOL * max(1.0, abs(kernel)):
-                return kernel * kernel * eta_sq
-        prev = size if size > 0 else prev
-    raise ValueError(
-        f"single-flat series for {series.label} was not certified summable "
-        f"at tolerance {_SIGMA_TAIL_TOL:g}"
-    )
+    kernel = series._weighted_sum(single_flat_count, _SIGMA_TAIL_TOL, start=1, step=2)
+    return kernel * kernel * float(dist.variance)
 
 
 def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
@@ -260,15 +237,9 @@ def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
     variance.  Each amplitude sum_j c_j * (path count) is one entry of the
     coefficient row's profile table, the table the ensemble centers read.
     """
-    if series.is_polynomial:
-        if any(series.coefficient(j) != 0 for j in range(1, series.degree + 1, 2)):
-            raise ValueError(f"{series.label} has odd coefficients; not a case B function")
-        degree = series.degree
-    elif series.case == "B":
-        degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
-    else:
-        raise ValueError(f"{series.label} is not tagged as a case B function")
-
+    if series.case != "B":
+        raise ValueError(f"{series.label} is not a case B function (odd coefficients or tag)")
+    degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
     _check_cap(degree)
     table = _profile_table(_row_key(series.coefficients_upto(degree)))
     s_hi = max((degree - 2) // 2 + 1, 1)
@@ -458,7 +429,7 @@ class ConvergencePair:
     diff_variance: float
     variance_bound: float | None  # leading-term bound, case A only
     bound_ratio: float | None
-    supercritical: bool           # alpha > alpha_critical for the case
+    supercritical: bool           # the scaled fluctuation is not defined (alpha above critical)
 
 
 @dataclass
@@ -481,7 +452,7 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
         raise ValueError("need at least two grid sizes")
     alpha = result.config.alpha
     report = ConvergenceReport(alpha=alpha, alpha_c=result.alpha_c)
-    supercritical = alpha > result.alpha_c
+    supercritical = not result.scaled_defined
     for fi, f in enumerate(result.f_labels):
         series = result.config.functions[fi]
         bound_const = None

@@ -12,13 +12,23 @@ Polynomials are classified automatically; infinite series carry an
 explicit tag.  The convergence radius must exceed ``bound + 2`` for the
 operator norm of the series to converge on the operators built here;
 that check happens where a distribution is known.
+
+A polynomial is summed exactly.  Every sum over an infinite series (the
+truncation tail, the pointwise value, the case A kernel) is one walk,
+``_certified_sum``; zero coefficients are allowed anywhere.  It skips
+exact zeros and ends at a ratio below 1/2 between consecutive nonzero
+magnitudes (closing with the geometric tail bound), at a nonzero
+magnitude below 1e-300, or after ``_MAX_TERMS`` zeros in a row (a
+numerically finite series such as exp(0*x)).  So ``evaluate`` refuses an x whose
+terms c_j x^j never fall below ratio 1/2 (about |x| >= radius/2 for c_j = r^-j).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .combinatorics import single_flat_count
 
@@ -29,7 +39,7 @@ CASE_C = "C"
 #: critical decay exponent per fluctuation case
 ALPHA_CRITICAL = {CASE_A: 1 / 2, CASE_B: 1 / 4, CASE_C: 1 / 6}
 
-_MAX_TAIL_TERMS = 500
+_MAX_TERMS = 300
 _MAX_TRUNCATION_DEGREE = 200
 
 
@@ -41,6 +51,36 @@ def _exponential_coefficient(rate: float, j: int) -> float:
         return 1.0
     mag = math.exp(j * math.log(abs(rate)) - math.lgamma(j + 1))
     return -mag if (rate < 0 and j % 2 == 1) else mag
+
+
+def _certified_sum(terms: Iterable[float], tol: float, what: str) -> tuple[float, float]:
+    """(partial, tail) by the module's one rule.  At a ratio r < 1/2 the tail bound |t| r / (1 - r)
+    holds while the ratios keep falling; it ends the walk once <= tol * max(1, |partial|)."""
+    partial = prev = 0.0
+    zeros = nonzero = 0
+    for term in terms:
+        if term == 0.0:
+            zeros += 1
+            if zeros == _MAX_TERMS:
+                return partial, 0.0
+            continue
+        zeros = 0
+        partial += term
+        size = abs(term)
+        if prev:
+            if size < 1e-300:
+                return partial, 0.0
+            ratio = size / prev
+            if ratio < 0.5:
+                tail = size * ratio / (1.0 - ratio)
+                if tail <= tol * max(1.0, abs(partial)):
+                    return partial, tail
+        prev = size
+        nonzero += 1
+        if nonzero == _MAX_TERMS:
+            break
+    raise ValueError(f"{what} did not enter a geometric regime within {_MAX_TERMS} "
+                     "nonzero terms; it is not certified summable")
 
 
 def classify_polynomial(coeffs: Sequence[float]) -> str:
@@ -144,33 +184,26 @@ class AnalyticSeries:
     def is_polynomial(self) -> bool:
         return self.degree is not None
 
-    # -- tails ----------------------------------------------------------------
+    # -- sums ------------------------------------------------------------------
+
+    def _weighted_sum(self, weight: Callable[[int], float], tol: float,
+                      start: int = 0, step: int = 1) -> float:
+        """sum of c_j * weight(j) over j = start, start + step, ...: exact over a polynomial's
+        row, else walked until the certified tail is at most ``tol`` of the sum; weight(j)
+        is not evaluated where c_j = 0, so a zero cannot overflow."""
+        if self.is_polynomial:
+            return math.fsum(self.coefficient(j) * weight(j)
+                             for j in range(start, self.degree + 1, step))
+        terms = (c * weight(j) if (c := self.coefficient(j)) else 0.0
+                 for j in itertools.count(start, step))
+        return _certified_sum(terms, tol, self.label)[0]
 
     def tail_majorant(self, k: int, x: float) -> float:
-        """Upper bound on sum_{j>k} |c_j| x^j, summed numerically.
-
-        Zero for polynomials.  For infinite series the terms must decay
-        geometrically before the term budget runs out; otherwise the tail
-        cannot be certified and a ValueError is raised.
-        """
+        """Upper bound on sum_{j>k} |c_j| x^j: walked terms plus certified tail; 0 for polynomials."""
         if self.is_polynomial:
             return 0.0
-        total = 0.0
-        prev = None
-        for j in range(k + 1, k + 1 + _MAX_TAIL_TERMS):
-            term = abs(self.coefficient(j)) * x**j
-            total += term
-            if prev is not None and term < 1e-300:
-                return total
-            if prev is not None and prev > 0 and term / prev < 0.5:
-                # geometric regime: close with the geometric tail bound
-                ratio = term / prev
-                return total + term * ratio / (1.0 - ratio)
-            prev = term
-        raise ValueError(
-            f"tail of {self.label} did not enter a geometric regime within "
-            f"{_MAX_TAIL_TERMS} terms at x={x:g}"
-        )
+        terms = (abs(c) * x**j if (c := self.coefficient(j)) else 0.0 for j in itertools.count(k + 1))
+        return sum(_certified_sum(terms, math.inf, self.label))
 
     def truncation_degree(self, x: float, tol: float, scale: float = 1.0) -> int:
         """Smallest degree K with scale * tail_majorant(K, x) <= tol."""
@@ -194,18 +227,11 @@ class AnalyticSeries:
         return self.coefficients_upto(degree), scale * self.tail_majorant(degree, bound + 2.0)
 
     def evaluate(self, x: float) -> float:
-        """Pointwise value, for diagnostics; |x| must be inside the radius."""
+        """Pointwise value, its certified tail below rounding; |x| must be inside the radius
+        and, for an infinite series, where the terms reach a ratio below 1/2 (module docstring)."""
         if abs(x) >= self.radius:
             raise ValueError("argument outside the convergence radius")
-        if self.is_polynomial:
-            return sum(c * x**j for j, c in enumerate(self.coeffs))
-        total = 0.0
-        for j in range(_MAX_TAIL_TERMS):
-            term = self.coefficient(j) * x**j
-            total += term
-            if j > 4 and abs(term) < 1e-17 * max(1.0, abs(total)):
-                return total
-        return total
+        return self._weighted_sum(lambda j: x**j, 1e-17)
 
 
 def require_radius(series: AnalyticSeries, bound: float) -> None:

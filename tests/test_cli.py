@@ -189,6 +189,17 @@ def test_expansion_validation(capsys):
     assert code == 2 and ">= 0" in err and not out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--k", "4", "--alpha", "0.5", "--dist", "uniform:nan"],
+    ["--k", "4", "--alpha", "0.5", "--dist", "uniform:inf"],
+    ["--k", "4", "--alpha", "nan"],
+    ["--k", "4", "--alpha", "inf"],
+], ids=["law-nan", "law-inf", "alpha-nan", "alpha-inf"])
+def test_expansion_rejects_non_finite_input(argv, capsys):
+    code, out, err = run_cli(["expansion", *argv, "--N", "30"], capsys)
+    assert code == 2 and "finite" in err and not out
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -234,7 +245,10 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
     (["--f", "exp:1", "--alpha", "0.3", "--n-grid", "1000"], "cap of 14"),
     (["--f", "poly:0,0,0,0,1", "--alpha", "0.2", "--n-grid", "8,1000"], "N > 2k"),
     (["--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "1000", "--workers", "-1"], "worker count"),
-], ids=["cap", "sites", "workers"])
+    (["--f", "poly:0,1", "--alpha", "nan", "--n-grid", "1000"], "finite"),
+    (["--f", "poly:0,1", "--alpha", "inf", "--n-grid", "1000"], "finite"),
+    (["--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:nan"], "finite"),
+], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")
@@ -243,6 +257,29 @@ def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, caps
     code, _, err = run_cli(
         ["simulate", *argv, "--replicas", "20", "--seed", "1", "--out", str(tmp_path)], capsys)
     assert code == 2 and message in err
+
+
+def test_simulate_numerically_finite_series(tmp_path, capsys):
+    # exp(0*x) = 1: every trace is N, and the limiting variance is exactly zero
+    code, _, err = run_cli(
+        ["simulate", "--f", "exp:0", "--alpha", "0.3", "--n-grid", "100",
+         "--replicas", "100", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    (entry,) = json.loads((tmp_path / "clt_report.json").read_text())["entries"]
+    assert entry["degenerate"] and entry["sigma_sq_theory"] == 0.0
+
+
+def test_simulate_just_above_critical_writes_samples(tmp_path, capsys):
+    # alpha/alpha_c = 1 + 1.4e-12: past the tolerance, so no scaled column and no report
+    code, _, err = run_cli(
+        ["simulate", "--f", "poly:0,1", "--alpha", "0.5000000000007", "--n-grid", "1000",
+         "--replicas", "100", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert "above the critical exponent" in err
+    rows = (tmp_path / "samples.csv").read_text().splitlines()
+    data = rows[rows.index("replica,f_id,N,raw_trace,centered,scaled") + 1:]
+    assert len(data) == 100 and all(row.endswith(",") for row in data)
+    assert not (tmp_path / "clt_report.json").exists()
 
 
 def test_simulate_config_file(tmp_path, capsys):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from tracefluct.combinatorics import FLAT, MultiIndex, _profile_table, enumerate_closed_paths
+from tracefluct.combinatorics import (
+    FLAT,
+    MultiIndex,
+    _profile_table,
+    enumerate_closed_paths,
+    single_flat_count,
+)
 from tracefluct.distributions import rademacher, uniform_sqrt3
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
@@ -143,6 +149,7 @@ def test_case_mismatch_rejected():
 
 def test_scaling_guard_above_critical():
     res = run_ensemble(small_config(alpha=0.8, n_grid=(50, 100)))
+    assert not res.scaled_defined
     with pytest.raises(ValueError, match="critical"):
         res.scaled("x^1", 100)
     # explicit index still works
@@ -175,6 +182,21 @@ def test_case_a_infinite_series():
     val = case_a_sigma_sq(f, rademacher())
     want = brute_sigma_a([f.coefficient(j) for j in range(14)], rademacher())
     assert val == pytest.approx(want, rel=1e-9)
+
+
+def test_case_a_skips_a_zero_coefficient():
+    # c_j = 4^-j with c_3 = 0: the zero neither ends the kernel nor supplies a ratio
+    g = AnalyticSeries(label="g", radius=4.0, case="A",
+                       coeff_fn=lambda j: 0.0 if j == 3 else 4.0**-j)
+    kernel = math.fsum(4.0**-j * single_flat_count(j) for j in range(1, 400, 2) if j != 3)
+    assert case_a_sigma_sq(g, rademacher()) == pytest.approx(kernel**2, rel=1e-12)
+    assert kernel**2 == pytest.approx(0.0848, abs=1e-4)
+
+
+@pytest.mark.parametrize("rate, sigma_sq", [(0.125, 0.016119036523024557),
+                                            (1.0, 5.196509150626267)])
+def test_case_a_exponential_pins(rate, sigma_sq):
+    assert case_a_sigma_sq(AnalyticSeries.exponential(rate), rademacher()) == sigma_sq
 
 
 def test_case_a_refuses_uncertifiable_tail():
@@ -340,6 +362,13 @@ def test_convergence_check_supercritical():
     # exact tail variance: eta^2 * sum_{n>2000} n^(-1.6) bounds the empirical one
     assert pair.diff_variance <= 1.5 * pair.variance_bound
     assert pair.variance_bound == pytest.approx(float(special.zeta(1.6, 2001)), rel=1e-12)
+
+
+def test_convergence_check_reads_the_scaling_decision():
+    # just above alpha_c, inside the 1e-12 band, the run is scaled with t = 1, so not supercritical
+    res = run_ensemble(small_config(alpha=0.5000000000001, n_grid=(50, 100)))
+    assert res.scaled_defined and res.scaling_t() == 1.0
+    assert not convergence_check(res).pairs[0].supercritical
 
 
 def test_convergence_check_subcritical_flagged():

@@ -83,3 +83,56 @@ def test_tail_refuses_non_geometric():
     )
     with pytest.raises(ValueError, match="geometric"):
         s.tail_majorant(5, 3.5)
+
+
+def _even_exponential(j):
+    return 0.0 if j % 2 else 1.0 / math.factorial(j)
+
+
+def _odd_exponential(j):
+    return 1.0 / math.factorial(j) if j % 2 else 0.0
+
+
+def test_cosh_tail_skips_zero_coefficients():
+    cosh = AnalyticSeries(label="cosh", radius=math.inf, case=CASE_B, coeff_fn=_even_exponential)
+    # the odd zeros neither end the walk nor supply a ratio
+    assert cosh.tail_majorant(0, 3.0) >= math.cosh(3.0) - 1.0
+    coeffs, tail = cosh.truncate(1.0, 1e-9, 1e5)
+    k = len(coeffs) - 1
+    dropped = 1e5 * math.fsum(_even_exponential(j) * 3.0**j for j in range(k + 1, k + 100))
+    assert dropped <= tail <= 1e-9
+
+
+def test_sinh_value_skips_zero_coefficients():
+    sinh = AnalyticSeries(label="sinh", radius=math.inf, case=CASE_A, coeff_fn=_odd_exponential)
+    assert sinh.evaluate(1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("rate, degree, tail", [
+    (1e-200, 0, 2.9999999999999337e-195),
+    (0.0, 0, 0.0),
+    (-0.3, 15, 9.351550050574592e-10),
+    (0.125, 12, 4.7853938685540874e-11),
+    (0.5, 19, 1.4719235288890188e-10),
+    (1.0, 25, 7.090651135736272e-10),
+])
+def test_exponential_truncation_pins(rate, degree, tail):
+    # a series without zero coefficients keeps its truncation bit for bit
+    coeffs, got = AnalyticSeries.exponential(rate).truncate(1.0, 1e-9, 1e5)
+    assert (len(coeffs) - 1, got) == (degree, tail)
+
+
+def test_numerically_finite_series_sums_exactly():
+    # exp(0*x) = 1 and exp(1e-200*x), whose coefficients underflow past j = 1
+    assert AnalyticSeries.exponential(0.0).evaluate(2.0) == 1.0
+    assert AnalyticSeries.exponential(0.0).tail_majorant(0, 12.0) == 0.0
+    tiny = AnalyticSeries.exponential(1e-200)
+    assert tiny.tail_majorant(0, 3.0) == tiny.coefficient(1) * 3.0
+
+
+def test_value_refused_where_terms_stay_above_half_ratio():
+    # c_j = 3.5^-j at x = 2 has term ratio 4/7 throughout: inside the radius, never certified
+    s = AnalyticSeries(label="geo", radius=3.5, case=CASE_A, coeff_fn=lambda j: 3.5**-j)
+    with pytest.raises(ValueError, match="not certified summable"):
+        s.evaluate(2.0)
+    assert s.evaluate(1.0) == pytest.approx(1.0 / (1.0 - 1.0 / 3.5), rel=1e-15)
