@@ -324,6 +324,8 @@ def cmd_simulate(args) -> int:
     ensemble_s = t_ensemble - t0
     _write_sidecar(out_dir, {
         "ensemble_s": ensemble_s,
+        "sample_s": result.sample_s,
+        "trace_s": result.trace_s,
         "center_s": result.center_s,
         "reports_s": reports_s,
         "write_s": time.perf_counter() - t_ensemble - reports_s,

@@ -96,16 +96,27 @@ class DistributionSpec:
         return self.kind != "moments"
 
     def sample_xs(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. variates, consuming one uniform per index."""
-        u = rng.random(n)
+        """Draw n i.i.d. variates, consuming one uniform per index, transformed in place."""
+        if not self.samplable:
+            raise ValueError(f"{self.name} is a moment specification and cannot be sampled")
+        x = rng.random(n)
         if self.kind == "rademacher":
-            return 2.0 * (u >= 0.5) - 1.0
-        if self.kind == "uniform":
-            return (2.0 * u - 1.0) * self.half_width
-        if self.kind == "two_point":
+            x -= 0.5  # u = 0.5 gives +0.0, so the sign is + exactly where u >= 0.5
+            np.copysign(1.0, x, out=x)
+        elif self.kind == "uniform":
+            x *= 2.0
+            x -= 1.0
+            x *= self.half_width
+        else:
+            # v1 where u < p1, else v2: the sign of u - p1 picks an end of the
+            # interval between the two values, with no mask array
             (v1, v2), (p1, _) = self.values, self.probs
-            return np.where(u < float(p1), float(v1), float(v2))
-        raise ValueError(f"{self.name} is a moment specification and cannot be sampled")
+            x -= float(p1)
+            np.copysign(math.inf, x, out=x)
+            if v1 > v2:
+                np.negative(x, out=x)
+            np.clip(x, float(min(v1, v2)), float(max(v1, v2)), out=x)
+        return x
 
 
 def rademacher() -> DistributionSpec:

@@ -8,6 +8,10 @@ Sampling is counter-based (Philox keyed by the seed, one uniform per
 site), so the first N values of a sample are identical for every larger
 size drawn from the same seed.  That prefix stability is what lets one
 realisation be followed across a growing size grid.
+
+Traces of powers are read off banded half powers that are built for a
+fixed number of rows at a time, so a replica needs O(N + _CHUNK * k)
+memory: its potential plus cache-sized band buffers.
 """
 
 from __future__ import annotations
@@ -20,6 +24,11 @@ import numpy as np
 from .distributions import DistributionSpec
 
 _OVERFLOW_LIMIT = 1e300
+
+#: Rows per chunk of the trace kernel.  Its band buffers, 2 (ceil(k/2) + 1)
+#: rows of _CHUNK + 2 ceil(k/2) doubles, stay cache-sized at any N; a
+#: constant, so every machine and worker count sums in the same order.
+_CHUNK = 16384
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -45,11 +54,9 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
     if alpha <= 0:
         raise ValueError("the decay exponent must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xs = dist.sample_xs(rng, n_sites)
-    return PotentialSample(
-        n_sites=n_sites, alpha=alpha, seed=seed, dist=dist,
-        values=xs / _site_scale(n_sites, alpha),
-    )
+    values = dist.sample_xs(rng, n_sites)
+    values /= _site_scale(n_sites, alpha)
+    return PotentialSample(n_sites=n_sites, alpha=alpha, seed=seed, dist=dist, values=values)
 
 
 @lru_cache(maxsize=4)
@@ -71,7 +78,8 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     Uses Tr H^(a+b) = sum_d w_d <(H^a)_d, (H^b)_d> over the upper bands d
     (w_0 = 1, w_d = 2), with a = ceil(p/2) and b = floor(p/2), so only
     H^1 .. H^ceil(k_max/2) are formed: about k_max^2/8 band updates plus
-    about k_max^2/4 length-N reductions, and O(N * k_max) memory.
+    about k_max^2/4 reductions per site.  The bands are built chunk by
+    chunk, so memory is O(N + _CHUNK * k_max), the input included.
 
     The reductions are BLAS-free (``np.einsum``, never ``@`` or
     ``np.dot``): with threads unpinned, an OpenBLAS dot product of 1e5
@@ -83,79 +91,108 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     return _prefix_trace_moments(v, k_max, (v.size,))[0]
 
 
-def _band_powers(v: np.ndarray, top: int):
-    """Yield (a, H^(a-1), H^a) for a = 1..top as upper-band arrays.
+def _check_power_bound(n_sites: int, peak: float, k_max: int) -> None:
+    """Certify n_sites * (2 + peak)^k_max <= 1e300 for a potential with |V| <= peak.
 
-    Row d of an array holds (H^a)_{i,i+d} for i < n-d, zero-padded to
-    length n, for d = 0..min(top, n-1).  The two buffers alternate, so
-    each step overwrites the arrays the step before it yielded.
+    Every entry of H^a is at most ||H||^a <= (2 + peak)^a, so under this
+    bound no band entry, product or trace of a power up to k_max
+    overflows.  A NaN peak fails it too.
     """
-    n = v.size
-    width = max(min(top, n - 1), 0) + 1
-    # one allocation: two separate buffers of this size were handed back to
-    # the OS and faulted in again on every call (1.9 vs 3.5 ms at N=1e5, k=3)
-    prev, cur = np.zeros((2, width, n))
-    cur[0] = 1.0
-    for a in range(1, top + 1):
-        prev, cur = cur, prev
-        old_top = min(a - 1, n - 1)  # bandwidth of H^(a-1)
-        for d in range(min(a, n - 1) + 1):
-            # (H^a)_{i,i+d} = (H^(a-1))_{i,i+d-1} + (H^(a-1))_{i,i+d} v_{i+d} + (H^(a-1))_{i,i+d+1}
-            row = cur[d, :n - d]
-            if d <= old_top:
-                np.multiply(prev[d, :n - d], v[d:], out=row)
-                if d:
-                    row += prev[d - 1, :n - d]
-            else:
-                row[:] = prev[d - 1, :n - d]
-            if d < old_top:
-                row += prev[d + 1, :n - d]  # its last slot is padding
-        if old_top >= 1:
-            cur[0, 1:] += prev[1, :n - 1]  # (H^(a-1))_{i,i-1} by symmetry
-        yield a, prev, cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = n_sites * np.float64(2.0 + peak) ** k_max
+    if not bound <= _OVERFLOW_LIMIT:
+        raise OverflowError(
+            f"traces of H^{k_max} are bounded only by N (2 + max|V|)^k = "
+            f"{n_sites} * (2 + {peak:g})^{k_max}, which exceeds {_OVERFLOW_LIMIT:g}; "
+            f"aborting before any trace work"
+        )
 
 
-def _pair_trace(high: np.ndarray, low: np.ndarray, b: int, start: int, stop: int) -> float:
-    """Rows [start, stop) of Tr H^(a+b) from the bands of H^a (high) and H^b (low)."""
-    width = min(b, high.shape[0] - 1) + 1
-    per_band = np.einsum("ij,ij->i", high[:width, start:stop], low[:width, start:stop])
-    return per_band[0] + 2.0 * per_band[1:].sum()
+def _band_buffer(k_max: int, n_sites: int) -> np.ndarray:
+    """Scratch band powers for `_prefix_trace_moments` on up to n_sites sites; reusable across calls."""
+    top = (k_max + 1) // 2
+    return np.empty((2, top + 1, min(n_sites, _CHUNK + 2 * top)))
 
 
-def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...]) -> np.ndarray:
-    """Trace moments of every prefix size in one pass: shape (len(sizes), k_max + 1).
+def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, ...]) -> np.ndarray:
+    """Per-power pair traces of the free chain on sites w, summed over row ranges.
 
-    ``sizes`` is strictly increasing and ends at ``v.size``.  With rows
-    counted from 0, the pair term of row i of Tr H_n^p equals that of the
-    full chain when i + a < n (no walk of a steps from i leaves the first
-    n sites), so a smaller size n sums the full bands over rows [0, n - a)
-    and takes rows [n - a, n) from the local chain v[max(0, n - 2 top):n]
-    with top = ceil(k_max/2) >= a, whose walks of a steps stay inside it.
+    Row r of the result holds, for p = 1..k_max, the sum over rows
+    [cuts[r], cuts[r+1]) of the row terms of Tr H^p.  The band powers of
+    H^1 .. H^ceil(k_max/2) go into ``bands``: band d of a power holds
+    (H^a)_{i,i+d} for i < m - d, and its last d slots are zero padding.
+    Only that padding is zeroed; every other slot is written before it is
+    read.  The two power buffers alternate, one step apart.
     """
     top = (k_max + 1) // 2
+    m = w.size
+    prev, cur = bands[0, :, :m], bands[1, :, :m]
+    for d in range(1, top + 1):
+        bands[:, d, max(m - d, 0):m] = 0.0
+    cur[0] = 1.0
+    per_band = np.zeros((len(cuts) - 1, k_max + 1, top + 1))
+    for a in range(1, top + 1):
+        prev, cur = cur, prev
+        old_top = min(a - 1, m - 1)  # bandwidth of H^(a-1)
+        for d in range(min(a, m - 1) + 1):
+            # (H^a)_{i,i+d} = (H^(a-1))_{i,i+d-1} + (H^(a-1))_{i,i+d} w_{i+d} + (H^(a-1))_{i,i+d+1}
+            row = cur[d, :m - d]
+            if d <= old_top:
+                np.multiply(prev[d, :m - d], w[d:], out=row)
+                if d:
+                    row += prev[d - 1, :m - d]
+            else:
+                row[:] = prev[d - 1, :m - d]
+            if d < old_top:
+                row += prev[d + 1, :m - d]  # its last slot is padding
+        if old_top >= 1:
+            cur[0, 1:] += prev[1, :m - 1]  # (H^(a-1))_{i,i-1} by symmetry
+        for p in range(2 * a - 1, min(2 * a, k_max) + 1):
+            b = p - a
+            low = cur if b == a else prev
+            for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+                np.einsum("ij,ij->i", cur[:b + 1, start:stop], low[:b + 1, start:stop],
+                          out=per_band[r, p, :b + 1])
+    return per_band[..., 0] + 2.0 * per_band[..., 1:].sum(axis=-1)
+
+
+def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...],
+                          bands: np.ndarray | None = None) -> np.ndarray:
+    """Trace moments of every prefix size in one pass: shape (len(sizes), k_max + 1).
+
+    ``sizes`` is strictly increasing and ends at ``v.size``; ``bands`` is
+    an optional `_band_buffer` for ``v.size`` sites, reused between calls.
+
+    With rows counted from 0, the row terms of Tr H^p depend only on the
+    sites within top = ceil(k_max/2) of the row, so the rows are walked in
+    chunks of _CHUNK, each built as a free chain with a halo of top sites
+    on both sides.  Every grid size n is a chunk cut: its chain ends at n,
+    the rows before n - top go into one running sum shared by all later
+    sizes (no walk from them reaches n), and the last top rows are summed
+    for size n alone.
+    """
     out = np.empty((len(sizes), k_max + 1))
     out[:, 0] = sizes
-    windows = [(n, max(0, n - 2 * top)) for n in sizes[:-1]]
-    steps = zip(_band_powers(v, top), *(_band_powers(v[lo:n], top) for n, lo in windows))
-    with np.errstate(over="ignore", invalid="ignore"):  # the guards below raise instead
-        for (a, prev, cur), *local in steps:
-            for p in range(2 * a - 1, min(2 * a, k_max) + 1):
-                b = p - a
-                low = cur if b == a else prev
-                out[-1, p] = _pair_trace(cur, low, b, 0, v.size)
-                for s, ((n, lo), (_, lprev, lcur)) in enumerate(zip(windows, local)):
-                    cut = max(n - a, 0)
-                    out[s, p] = (_pair_trace(cur, low, b, 0, cut)
-                                 + _pair_trace(lcur, lcur if b == a else lprev, b, cut - lo, n - lo))
-            if 2 * a > k_max:
-                # Tr H^(2a) >= (any entry of H^a)^2 certified every earlier power;
-                # this last one has no square trace, so scan its entries.
-                for arr in (cur, *(step[2] for step in local)):
-                    peak = max(arr.max(initial=0.0), -arr.min(initial=0.0))
-                    if not peak <= _OVERFLOW_LIMIT:
-                        raise OverflowError(
-                            f"entries of H^{a} exceed {_OVERFLOW_LIMIT:g} (max {peak:g}); aborting"
-                        )
+    if k_max == 0:
+        return out
+    _check_power_bound(v.size, np.maximum(v.max(initial=0.0), -v.min(initial=0.0)), k_max)
+    top = (k_max + 1) // 2
+    if bands is None:
+        bands = _band_buffer(k_max, v.size)
+    running = np.zeros(k_max + 1)
+    start = 0  # rows [0, start) of every later size are in running
+    for row, n in zip(out, sizes):
+        while n - start > _CHUNK + top:
+            lo = max(start - top, 0)
+            stop = start + _CHUNK
+            running += _chain_sums(v[lo:stop + top], k_max, bands, (start - lo, stop - lo))[0]
+            start = stop
+        lo = max(start - top, 0)
+        cut = max(start, n - top)
+        shared, own = _chain_sums(v[lo:n], k_max, bands, (start - lo, cut - lo, n - lo))
+        running += shared
+        row[1:] = (running + own)[1:]
+        start = cut
     bad = ~(np.abs(out) <= _OVERFLOW_LIMIT)
     if bad.any():
         p = int(np.argmax(bad.any(axis=0)))

@@ -26,7 +26,8 @@ import numpy as np
 from .combinatorics import MultiIndex, _check_cap, _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
 from .expansion import _check_row, _fold
-from .hamiltonian import _prefix_trace_moments, derive_seed, sample_potential
+from .hamiltonian import (_band_buffer, _check_power_bound, _prefix_trace_moments, derive_seed,
+                          sample_potential)
 from .series import ALPHA_CRITICAL, AnalyticSeries
 
 #: Certified tail of the case A single-flat series, relative to its sum.
@@ -114,6 +115,8 @@ class EnsembleResult:
     raw: np.ndarray       # shape (replicas, functions, grid sizes)
     centers: np.ndarray   # shape (functions, grid sizes)
     center_s: float       # wall time of the centering loop; never written to an artifact
+    sample_s: float       # sampling seconds, summed over replicas in the processes that ran them
+    trace_s: float        # trace kernel and Tr f seconds, summed the same way
 
     def _fi(self, f_label: str) -> int:
         return self.f_labels.index(f_label)
@@ -146,20 +149,27 @@ class EnsembleResult:
 
 
 def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple[float, ...], ...],
-                   n_grid: tuple[int, ...], seeds: list[int]) -> np.ndarray:
-    """Raw traces for a block of replicas: shape (len(seeds), n_functions, len(n_grid))."""
+                   n_grid: tuple[int, ...], seeds: list[int]) -> tuple[np.ndarray, float, float]:
+    """Raw traces for a block of replicas, shape (len(seeds), n_functions, len(n_grid)),
+    with the block's summed sampling and trace seconds."""
     k_max = max((len(row) - 1 for row in coeff_rows), default=0)
     out = np.empty((len(seeds), len(coeff_rows), len(n_grid)))
     n_max = n_grid[-1]
+    bands = _band_buffer(k_max, n_max)  # one scratch for every chunk of every replica
+    sample_s = trace_s = 0.0
     for r, seed in enumerate(seeds):
+        t0 = time.perf_counter()
         sample = sample_potential(n_max, alpha, dist, seed)
-        grid_moments = _prefix_trace_moments(sample.values, k_max, n_grid)
+        t1 = time.perf_counter()
+        grid_moments = _prefix_trace_moments(sample.values, k_max, n_grid, bands)
         for ni, moments in enumerate(grid_moments):
             for fi, row in enumerate(coeff_rows):
                 out[r, fi, ni] = math.fsum(
                     c * moments[j] for j, c in enumerate(row) if c != 0.0
                 )
-    return out
+        sample_s += t1 - t0
+        trace_s += time.perf_counter() - t1
+    return out, sample_s, trace_s
 
 
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
@@ -178,11 +188,14 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
                        for f in config.functions)
     for row in coeff_rows:
         _check_row(row, config.n_grid[0])  # the smallest size, before any sample is drawn
+    # |V| <= the law's bound, so this certifies every replica's kernel before any work
+    _check_power_bound(config.n_grid[-1], config.dist.bound,
+                       max(len(row) - 1 for row in coeff_rows))
 
     seeds = [derive_seed(config.base_seed, r) for r in range(config.replicas)]
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     if workers <= 1 or config.replicas <= 1:
-        raw = _replica_block(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)
+        results = [_replica_block(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~18 ms of imports a serial run skips
 
@@ -194,7 +207,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
                             config.n_grid, block)
                 for block in blocks
             ]
-            raw = np.concatenate([fut.result() for fut in futures], axis=0)
+            results = [fut.result() for fut in futures]
+    raws, sample_times, trace_times = zip(*results)
 
     t0 = time.perf_counter()
     centers = np.array([
@@ -209,9 +223,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         alpha_c=ALPHA_CRITICAL[case],
         f_labels=tuple(f.label for f in config.functions),
         n_grid=tuple(config.n_grid),
-        raw=raw,
+        raw=np.concatenate(raws, axis=0),
         centers=centers,
         center_s=center_s,
+        sample_s=sum(sample_times),
+        trace_s=sum(trace_times),
     )
 
 

@@ -218,7 +218,8 @@ def test_simulate_artifacts(tmp_path, capsys):
     corr = (tmp_path / "correlation.csv").read_text()
     assert "N,f_i,f_j,correlation" in corr
     assert_phase_times(tmp_path / "run_info.txt",
-                       ["ensemble_s", "center_s", "reports_s", "write_s", "replicas_per_s"])
+                       ["ensemble_s", "sample_s", "trace_s", "center_s", "reports_s", "write_s",
+                        "replicas_per_s"])
 
 
 def test_simulate_reproducible(tmp_path, capsys):
@@ -248,7 +249,9 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
     (["--f", "poly:0,1", "--alpha", "nan", "--n-grid", "1000"], "finite"),
     (["--f", "poly:0,1", "--alpha", "inf", "--n-grid", "1000"], "finite"),
     (["--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:nan"], "finite"),
-], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan"])
+    (["--f", "poly:" + "0," * 12 + "1", "--alpha", "0.3", "--n-grid", "1000",
+      "--dist", "uniform:1e30"], "exceeds 1e+300"),
+], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan", "overflow"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")

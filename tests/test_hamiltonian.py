@@ -1,9 +1,13 @@
-"""Numeric kernels against dense-matrix and eigensolver oracles."""
+"""Numeric kernels against dense-matrix, sparse-matrix and eigensolver oracles."""
+
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tracefluct.distributions import rademacher, uniform_sqrt3
+from tracefluct import hamiltonian
+from tracefluct.distributions import rademacher, two_point, uniform_sqrt3, uniform_symmetric
 from tracefluct.hamiltonian import (
     _prefix_trace_moments,
     dense_matrix,
@@ -52,6 +56,28 @@ def test_sample_determinism_and_seed_derivation():
     assert not np.array_equal(a.values, c.values)
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)
+
+
+@pytest.mark.parametrize("dist", [
+    rademacher(), uniform_sqrt3(), uniform_symmetric(0.7),
+    two_point(2, Fraction(-1, 2), Fraction(1, 5)), two_point(-1, 3, Fraction(3, 4)),
+], ids=["rademacher", "uniform-sqrt3", "uniform-0.7", "two-point-hi-lo", "two-point-lo-hi"])
+def test_sampling_matches_reference_forms(dist):
+    # the in-place transforms give the very doubles of the plain array expressions
+    n, alpha = 10_001, 0.3
+    for seed in range(4):
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(n)
+        if dist.kind == "rademacher":
+            xs = 2.0 * (u >= 0.5) - 1.0
+        elif dist.kind == "uniform":
+            xs = (2.0 * u - 1.0) * dist.half_width
+        else:
+            (v1, v2), (p1, _) = dist.values, dist.probs
+            xs = np.where(u < float(p1), float(v1), float(v2))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        assert np.array_equal(dist.sample_xs(rng, n), xs)
+        values = xs / np.arange(1, n + 1, dtype=float) ** alpha
+        assert np.array_equal(sample_potential(n, alpha, dist, seed).values, values)
 
 
 def test_sample_validation():
@@ -124,6 +150,54 @@ def test_grid_pass_on_a_sparse_grid():
     for row, n in zip(grid, sizes):
         one = trace_moments(v[:n], 12)
         assert np.all(np.abs(row - one) <= 1e-13 * _majorant(v[:n], np.arange(13)))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 13, 40])
+def test_chunked_grid_pass_vs_dense(chunk, n_max, monkeypatch):
+    # chunks shorter than the halo, chains of at most 2 ceil(k/2) sites, a cut
+    # at every size, and long stretches between cuts that need interior chunks
+    monkeypatch.setattr(hamiltonian, "_CHUNK", chunk)
+    v = sample_potential(n_max, 0.35, uniform_sqrt3(), seed=1300 + n_max).values
+    dense = {n: dense_trace_powers(v[:n], 13) for n in range(1, n_max + 1)}
+    spread = tuple(n for n in sorted({1, 3, n_max // 2, n_max}) if 1 <= n <= n_max)
+    grids = {tuple(range(1, n_max + 1)), (n_max,), spread}
+    for k in range(14):
+        powers = np.arange(k + 1)
+        for sizes in grids:
+            grid = _prefix_trace_moments(v, k, sizes)
+            for row, n in zip(grid, sizes):
+                bound = 1e-13 * _majorant(v[:n], powers)
+                assert np.all(np.abs(row - dense[n][:k + 1]) <= bound), (k, sizes, n)
+
+
+def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():
+    # eigenvalues of 3e4 sites take seconds; banded sparse powers are an independent oracle
+    from scipy import sparse
+
+    c = hamiltonian._CHUNK
+    sizes = (c - 1, c, c + 1, 2 * c + 3)
+    v = sample_potential(sizes[-1], 0.5, rademacher(), seed=78).values
+    grid = _prefix_trace_moments(v, 13, sizes)
+    for row, n in zip(grid, sizes):
+        ones = np.ones(n - 1)
+        h = sparse.diags([ones, v[:n], ones], [-1, 0, 1], format="csr")
+        power, traces = sparse.identity(n, format="csr"), [float(n)]
+        for _ in range(13):
+            power = power @ h
+            traces.append(power.diagonal().sum())
+        assert np.all(np.abs(row - traces) <= 1e-12 * np.maximum(1.0, np.abs(row))), n
+
+
+def test_kernel_memory_is_flat_in_n():
+    v = sample_potential(10**6, 0.3, rademacher(), seed=5).values
+    tracemalloc.start()
+    try:
+        _prefix_trace_moments(v, 12, (10**6,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # 2 * 7 whole-chain bands of 1e6 doubles would take 112 MB
 
 
 def test_trace_moments_vs_eigenvalues_n500():
