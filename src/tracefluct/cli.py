@@ -119,10 +119,13 @@ def _require(args, *names):
         raise ValueError("missing required parameter(s): " + ", ".join(missing))
 
 
-def _write_sidecar(out_dir: Path, timings: dict[str, float] | None = None) -> None:
-    """run_info.txt: the non-reproducible facts of a run (clock time, phase times)."""
+def _write_sidecar(out_dir: Path, timings: dict[str, float] | None = None,
+                   facts: dict[str, object] | None = None) -> None:
+    """run_info.txt: the non-reproducible facts of a run (clock time, phase times), then
+    ``facts`` such as truncation degrees, each written as ``str`` gives it."""
     lines = [f"written_at={datetime.now(timezone.utc).isoformat()}"]
     lines += [f"{key}={value:.6g}" for key, value in (timings or {}).items()]
+    lines += [f"{key}={value}" for key, value in (facts or {}).items()]
     (out_dir / "run_info.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -330,6 +333,9 @@ def cmd_simulate(args) -> int:
         "reports_s": reports_s,
         "write_s": time.perf_counter() - t_ensemble - reports_s,
         "replicas_per_s": config.replicas / ensemble_s,
+    }, {
+        **{f"degree:{f}": k for f, k in zip(result.f_labels, result.degrees)},
+        **{f"tail:{f}": tail for f, tail in zip(result.f_labels, result.tails)},
     })
     print(f"wrote {out_dir}/samples.csv and reports")
     return EXIT_OK

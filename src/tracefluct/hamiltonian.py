@@ -9,13 +9,17 @@ site), so the first N values of a sample are identical for every larger
 size drawn from the same seed.  That prefix stability is what lets one
 realisation be followed across a growing size grid.
 
-Traces of powers are read off banded half powers that are built for a
-fixed number of rows at a time, so a replica needs O(N + _CHUNK * k)
-memory: its potential plus cache-sized band buffers.
+Traces of powers are read off banded powers H^1 .. H^ceil(k/2) that are
+built for a fixed number of rows at a time, so a replica needs
+O(N + _CHUNK * k) memory: its potential plus cache-sized band buffers.
+A low power's trace is the sum of its diagonal band, a high power's pairs
+two half powers, and no band whose entries are known is built: H^1 is
+the potential itself, and the top band of every power is all ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,8 +29,8 @@ from .distributions import DistributionSpec
 
 _OVERFLOW_LIMIT = 1e300
 
-#: Rows per chunk of the trace kernel.  Its band buffers, 2 (ceil(k/2) + 1)
-#: rows of _CHUNK + 2 ceil(k/2) doubles, stay cache-sized at any N; a
+#: Rows per chunk of the trace kernel.  Its band buffers, 2 ceil(k/2) rows
+#: of _CHUNK + 2 ceil(k/2) doubles, stay cache-sized at any N; a
 #: constant, so every machine and worker count sums in the same order.
 _CHUNK = 16384
 
@@ -51,8 +55,8 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
     """Draw V(n) = X_n / n^alpha for n = 1..n_sites, prefix-stable in the seed."""
     if n_sites < 1:
         raise ValueError("need at least one site")
-    if alpha <= 0:
-        raise ValueError("the decay exponent must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     values = dist.sample_xs(rng, n_sites)
     values /= _site_scale(n_sites, alpha)
@@ -75,11 +79,17 @@ def _as_values(sample) -> np.ndarray:
 def trace_moments(sample, k_max: int) -> np.ndarray:
     """[Tr H^0, ..., Tr H^k_max] via half powers of the tridiagonal operator.
 
-    Uses Tr H^(a+b) = sum_d w_d <(H^a)_d, (H^b)_d> over the upper bands d
-    (w_0 = 1, w_d = 2), with a = ceil(p/2) and b = floor(p/2), so only
-    H^1 .. H^ceil(k_max/2) are formed: about k_max^2/8 band updates plus
-    about k_max^2/4 reductions per site.  The bands are built chunk by
-    chunk, so memory is O(N + _CHUNK * k_max), the input included.
+    Only H^1 .. H^top, top = ceil(k_max/2), are formed.  For p <= top,
+    Tr H^p is the sum of the diagonal band of H^p; above it, Tr H^(a+b) =
+    sum_d w_d <(H^a)_d, (H^b)_d> over the upper bands d (w_0 = 1, w_d = 2),
+    with a = ceil(p/2) and b = floor(p/2).  H^1 is read off the potential,
+    and the top band of every power, (H^a)_{i,i+a} = 1, is never stored:
+    a read of it is a scalar add, a product with it a plain sum.  That is
+    about 3 top^2/2 array passes of band updates plus
+    top + sum_{top < p <= k_max} ceil(p/2) reductions per site: 7 passes in
+    all at k_max = 3, and 85 at k_max = 12.
+    The bands are built chunk by chunk, so memory is O(N + _CHUNK * k_max),
+    the input included.
 
     The reductions are BLAS-free (``np.einsum``, never ``@`` or
     ``np.dot``): with threads unpinned, an OpenBLAS dot product of 1e5
@@ -111,71 +121,99 @@ def _check_power_bound(n_sites: int, peak: float, k_max: int) -> None:
 def _band_buffer(k_max: int, n_sites: int) -> np.ndarray:
     """Scratch band powers for `_prefix_trace_moments` on up to n_sites sites; reusable across calls."""
     top = (k_max + 1) // 2
-    return np.empty((2, top + 1, min(n_sites, _CHUNK + 2 * top)))
+    return np.empty((2, top, min(n_sites, _CHUNK + 2 * top)))
 
 
 def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, ...]) -> np.ndarray:
-    """Per-power pair traces of the free chain on sites w, summed over row ranges.
+    """Per-power row terms of the free chain on sites w, summed over row ranges.
 
     Row r of the result holds, for p = 1..k_max, the sum over rows
-    [cuts[r], cuts[r+1]) of the row terms of Tr H^p.  The band powers of
-    H^1 .. H^ceil(k_max/2) go into ``bands``: band d of a power holds
-    (H^a)_{i,i+d} for i < m - d, and its last d slots are zero padding.
-    Only that padding is zeroed; every other slot is written before it is
-    read.  The two power buffers alternate, one step apart.
+    [cuts[r], cuts[r+1]) of the row terms of Tr H^p.  For p <= top =
+    ceil(k_max/2) the row term is (H^p)_ii; above it, it is row i of
+    sum_d w_d <(H^a)_d, (H^b)_d> with a = ceil(p/2), b = floor(p/2).  The
+    two split a trace among rows differently, but both sum to Tr H^p, and
+    both keep each row's term within top sites of the row.
+
+    H^a is held as its bands 0 .. a-1: band d holds (H^a)_{i,i+d} for
+    i < m - d, and its last d slots are zero padding.  H^1 is w itself;
+    for a >= 2 the bands go into ``bands``, whose two power buffers
+    alternate, one step apart.  Band a is never stored: (H^a)_{i,i+a} = 1
+    for i < m - a, so every read of it is a scalar add over those rows.
+    Only the padding is zeroed; every other slot is written before it is
+    read.
     """
     top = (k_max + 1) // 2
     m = w.size
-    prev, cur = bands[0, :, :m], bands[1, :, :m]
-    for d in range(1, top + 1):
+    for d in range(1, top):
         bands[:, d, max(m - d, 0):m] = 0.0
-    cur[0] = 1.0
-    per_band = np.zeros((len(cuts) - 1, k_max + 1, top + 1))
+    spans = list(zip(cuts, cuts[1:]))
+    per_band = np.zeros((len(spans), k_max + 1, top + 1))
+    prev, cur = None, w[None, :]  # H^1: its one stored band, the diagonal, is w itself
     for a in range(1, top + 1):
-        prev, cur = cur, prev
-        old_top = min(a - 1, m - 1)  # bandwidth of H^(a-1)
-        for d in range(min(a, m - 1) + 1):
-            # (H^a)_{i,i+d} = (H^(a-1))_{i,i+d-1} + (H^(a-1))_{i,i+d} w_{i+d} + (H^(a-1))_{i,i+d+1}
-            row = cur[d, :m - d]
-            if d <= old_top:
+        if a > 1:
+            prev, cur = cur, bands[a % 2, :a, :m]
+            for d in range(min(a, m)):
+                # (H^a)_{i,i+d} = (H^(a-1))_{i,i+d-1} + (H^(a-1))_{i,i+d} w_{i+d} + (H^(a-1))_{i,i+d+1}
+                # where band a-1 of H^(a-1) is its implicit ones and band a is empty
+                row = cur[d, :m - d]
+                if d == a - 1:
+                    np.add(prev[d - 1, :m - d], w[d:], out=row)
+                    continue
                 np.multiply(prev[d, :m - d], w[d:], out=row)
+                if a == 2 and d == 0:  # both neighbours of the diagonal of H^1 are its ones
+                    row += 2.0
+                    row[0] -= 1.0
+                    row[-1] -= 1.0
+                    continue
+                if d + 1 < a - 1:
+                    row += prev[d + 1, :m - d]  # its last slot is padding
+                else:
+                    row[:m - d - 1] += 1.0
                 if d:
                     row += prev[d - 1, :m - d]
-            else:
-                row[:] = prev[d - 1, :m - d]
-            if d < old_top:
-                row += prev[d + 1, :m - d]  # its last slot is padding
-        if old_top >= 1:
-            cur[0, 1:] += prev[1, :m - 1]  # (H^(a-1))_{i,i-1} by symmetry
-        for p in range(2 * a - 1, min(2 * a, k_max) + 1):
-            b = p - a
-            low = cur if b == a else prev
-            for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-                np.einsum("ij,ij->i", cur[:b + 1, start:stop], low[:b + 1, start:stop],
-                          out=per_band[r, p, :b + 1])
+                else:
+                    row[1:] += prev[1, :m - 1]  # (H^(a-1))_{i,i-1} by symmetry
+        for r, (start, stop) in enumerate(spans):
+            per_band[r, a, 0] = cur[0, start:stop].sum()
+            for p in range(max(2 * a - 1, top + 1), min(2 * a, k_max) + 1):
+                b = p - a
+                low = cur if b == a else prev
+                np.einsum("ij,ij->i", cur[:b, start:stop], low[:b, start:stop],
+                          out=per_band[r, p, :b])
+                # band b of H^b is all ones on rows i < m - b
+                if b < a:
+                    per_band[r, p, b] = cur[b, start:stop].sum()
+                else:
+                    per_band[r, p, b] = max(min(stop, m - b) - start, 0)
     return per_band[..., 0] + 2.0 * per_band[..., 1:].sum(axis=-1)
 
 
 def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...],
-                          bands: np.ndarray | None = None) -> np.ndarray:
+                          bands: np.ndarray | None = None, bound: float | None = None) -> np.ndarray:
     """Trace moments of every prefix size in one pass: shape (len(sizes), k_max + 1).
 
     ``sizes`` is strictly increasing and ends at ``v.size``; ``bands`` is
     an optional `_band_buffer` for ``v.size`` sites, reused between calls.
+    ``bound`` is a known bound on |V| (a law's support), certified against
+    overflow in place of a scan of ``v`` for its largest magnitude.
 
-    With rows counted from 0, the row terms of Tr H^p depend only on the
-    sites within top = ceil(k_max/2) of the row, so the rows are walked in
-    chunks of _CHUNK, each built as a free chain with a halo of top sites
-    on both sides.  Every grid size n is a chunk cut: its chain ends at n,
-    the rows before n - top go into one running sum shared by all later
-    sizes (no walk from them reaches n), and the last top rows are summed
-    for size n alone.
+    With rows counted from 0, the row terms of Tr H^p (see `_chain_sums`)
+    depend only on the sites within top = ceil(k_max/2) of the row: the
+    diagonal entry (H^p)_ii of a power p <= top on the sites within p/2,
+    and row i of a pair of half powers on sites i - top .. i + top.  So
+    the rows are walked in chunks of _CHUNK, each built as a free chain
+    with a halo of top sites on both sides.  Every grid size n is a chunk
+    cut: its chain ends at n, the rows before n - top go into one running
+    sum shared by all later sizes (no walk from them reaches n), and the
+    last top rows are summed for size n alone.
     """
     out = np.empty((len(sizes), k_max + 1))
     out[:, 0] = sizes
     if k_max == 0:
         return out
-    _check_power_bound(v.size, np.maximum(v.max(initial=0.0), -v.min(initial=0.0)), k_max)
+    if bound is None:
+        bound = np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
+    _check_power_bound(v.size, bound, k_max)
     top = (k_max + 1) // 2
     if bands is None:
         bands = _band_buffer(k_max, v.size)
@@ -206,8 +244,10 @@ def eigenvalues(sample) -> np.ndarray:
     An independent oracle for the trace kernel: LAPACK's default
     tridiagonal driver (stemr, multiple relatively robust
     representations), accurate to a small multiple of machine precision
-    times the spectral radius.  scipy is imported here, off the CLI's
-    import path.
+    times the spectral radius.  It is O(N^2): 10.7 s for one chain of
+    16,385 sites on a 2-vCPU VM, so the kernel's chunk-boundary test
+    checks against sparse matrix powers instead.  scipy is imported here,
+    off the CLI's import path.
     """
     from scipy.linalg import eigh_tridiagonal
 

@@ -117,6 +117,8 @@ class EnsembleResult:
     center_s: float       # wall time of the centering loop; never written to an artifact
     sample_s: float       # sampling seconds, summed over replicas in the processes that ran them
     trace_s: float        # trace kernel and Tr f seconds, summed the same way
+    degrees: tuple[int, ...]  # truncation degree K of each function
+    tails: tuple[float, ...]  # certified bound on each function's dropped tail at the largest N
 
     def _fi(self, f_label: str) -> int:
         return self.f_labels.index(f_label)
@@ -161,7 +163,7 @@ def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple
         t0 = time.perf_counter()
         sample = sample_potential(n_max, alpha, dist, seed)
         t1 = time.perf_counter()
-        grid_moments = _prefix_trace_moments(sample.values, k_max, n_grid, bands)
+        grid_moments = _prefix_trace_moments(sample.values, k_max, n_grid, bands, dist.bound)
         for ni, moments in enumerate(grid_moments):
             for fi, row in enumerate(coeff_rows):
                 out[r, fi, ni] = math.fsum(
@@ -184,11 +186,13 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     case = config.resolved_case()
     if not config.dist.samplable:
         raise ValueError(f"{config.dist.name} cannot be sampled")
-    coeff_rows = tuple(tuple(f.truncate(config.dist.bound, config.tail_tol, config.n_grid[-1])[0])
-                       for f in config.functions)
+    truncations = [f.truncate(config.dist.bound, config.tail_tol, config.n_grid[-1])
+                   for f in config.functions]
+    coeff_rows = tuple(tuple(coeffs) for coeffs, _ in truncations)
     for row in coeff_rows:
         _check_row(row, config.n_grid[0])  # the smallest size, before any sample is drawn
-    # |V| <= the law's bound, so this certifies every replica's kernel before any work
+    # |V| <= the law's bound, so this certifies every replica's kernel before any work;
+    # each replica's kernel takes the bound too, and never scans its potential
     _check_power_bound(config.n_grid[-1], config.dist.bound,
                        max(len(row) - 1 for row in coeff_rows))
 
@@ -228,6 +232,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         center_s=center_s,
         sample_s=sum(sample_times),
         trace_s=sum(trace_times),
+        degrees=tuple(len(row) - 1 for row in coeff_rows),
+        tails=tuple(tail for _, tail in truncations),
     )
 
 

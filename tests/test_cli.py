@@ -24,6 +24,7 @@ def assert_phase_times(run_info, keys):
     fields = dict(line.split("=", 1) for line in run_info.read_text().splitlines())
     for key in keys:
         assert float(fields[key]) >= 0.0, key
+    return fields
 
 
 # ------------------------------------------------------------------ imports
@@ -217,9 +218,12 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert clt["t_scaling"] == pytest.approx(0.6)
     corr = (tmp_path / "correlation.csv").read_text()
     assert "N,f_i,f_j,correlation" in corr
-    assert_phase_times(tmp_path / "run_info.txt",
-                       ["ensemble_s", "sample_s", "trace_s", "center_s", "reports_s", "write_s",
-                        "replicas_per_s"])
+    fields = assert_phase_times(tmp_path / "run_info.txt",
+                                ["ensemble_s", "sample_s", "trace_s", "center_s", "reports_s",
+                                 "write_s", "replicas_per_s"])
+    # a polynomial is used whole: its degree, and nothing dropped
+    assert fields["degree:poly:0,1"] == "1" and fields["degree:poly:0,0,0,1"] == "3"
+    assert float(fields["tail:poly:0,1"]) == float(fields["tail:poly:0,0,0,1"]) == 0.0
 
 
 def test_simulate_reproducible(tmp_path, capsys):

@@ -87,6 +87,13 @@ def test_sample_validation():
         sample_potential(10, 0.0, rademacher(), seed=1)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_sample_rejects_non_finite_alpha(alpha):
+    # a NaN exponent would give V = [X_1, nan, nan, ...] and fail only in the kernel
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_potential(5, alpha, rademacher(), seed=1)
+
+
 # ------------------------------------------------------------ trace moments
 
 
@@ -169,6 +176,45 @@ def test_chunked_grid_pass_vs_dense(chunk, n_max, monkeypatch):
             for row, n in zip(grid, sizes):
                 bound = 1e-13 * _majorant(v[:n], powers)
                 assert np.all(np.abs(row - dense[n][:k + 1]) <= bound), (k, sizes, n)
+
+
+def integer_trace_powers(n, k_max):
+    """Oracle: exact traces of the free chain's powers, via integer dense matrices."""
+    h = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    out, p = [n], np.eye(n, dtype=np.int64)
+    for _ in range(k_max):
+        p = p @ h
+        out.append(int(np.trace(p)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7])
+def test_free_chain_traces_are_exact(chunk, monkeypatch):
+    # with v = 0 every band entry is a walk count below 2^53, so the implicit unit
+    # bands, which then carry the whole trace, must give exact integers
+    monkeypatch.setattr(hamiltonian, "_CHUNK", chunk)
+    exact = {n: integer_trace_powers(n, 13) for n in range(1, 41)}
+    for n_max in (1, 2, 7, 13, 40):
+        v = np.zeros(n_max)
+        grids = {tuple(range(1, n_max + 1)), (n_max,),
+                 tuple(sorted({1, 2, n_max // 3, n_max - 1, n_max} & set(range(1, n_max + 1))))}
+        for k in range(14):
+            for sizes in grids:
+                grid = _prefix_trace_moments(v, k, sizes)
+                for row, n in zip(grid, sizes):
+                    assert row.tolist() == exact[n][:k + 1], (k, sizes, n)
+
+
+def test_law_bound_certifies_before_band_work(monkeypatch):
+    def no_band_work(*args, **kwargs):
+        raise AssertionError("built bands for an uncertified bound")
+
+    v = np.zeros(10)  # harmless itself; the law's bound is what the caller vouches for
+    monkeypatch.setattr(hamiltonian, "_chain_sums", no_band_work)
+    with pytest.raises(OverflowError, match="abort"):
+        _prefix_trace_moments(v, 13, (5, 10), bound=1e30)  # 10 * (2 + 1e30)^13 > 1e300
+    monkeypatch.undo()
+    assert _prefix_trace_moments(v, 13, (5, 10), bound=1.0).shape == (2, 14)
 
 
 def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():

@@ -114,6 +114,18 @@ def test_run_ensemble_empty():
     assert res.centers.shape == (2, 2)
 
 
+def test_run_ensemble_reports_its_truncations():
+    # the degree and certified tail are the ones the ensemble truncated at, at its largest N
+    f = AnalyticSeries.exponential(1 / 8)
+    config = EnsembleConfig(alpha=0.5, dist=rademacher(),
+                            functions=(f, AnalyticSeries.monomial(3)),
+                            n_grid=(30, 100), replicas=1, base_seed=3)
+    res = run_ensemble(config)
+    coeffs, tail = f.truncate(1.0, config.tail_tol, 100)
+    assert res.degrees == (len(coeffs) - 1, 3) and res.tails == (tail, 0.0)
+    assert 0.0 < tail <= config.tail_tol
+
+
 def test_linear_trace_is_exact_sum():
     res = run_ensemble(small_config())
     f = "x^1"
