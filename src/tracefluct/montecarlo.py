@@ -30,7 +30,7 @@ from .hamiltonian import (_band_buffer, _check_power_bound, _prefix_trace_moment
                           sample_potential)
 from .series import ALPHA_CRITICAL, AnalyticSeries
 
-#: Certified tail of the case A single-flat series, relative to its sum.
+#: Certified bound on the dropped part of the case A single-flat series.
 _SIGMA_TAIL_TOL = 1e-12
 
 
@@ -244,10 +244,12 @@ def case_a_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
     """Limiting variance for a general (case A) function.
 
     The square of the odd-coefficient sum against the single-flat path
-    counts, times the law's variance.  Infinite series are summed until
-    the remaining tail is certified below ``_SIGMA_TAIL_TOL`` of the sum.
+    counts, times the law's variance.  An infinite series is summed exactly
+    through the smallest degree K with tail_majorant(K, 3) <= ``_SIGMA_TAIL_TOL``,
+    which bounds the dropped part because single_flat_count(j) =
+    j C(j-1, (j-1)/2) <= 3^j.
     """
-    kernel = series._weighted_sum(single_flat_count, _SIGMA_TAIL_TOL, start=1, step=2)
+    kernel = series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL, start=1, step=2)
     return kernel * kernel * float(dist.variance)
 
 

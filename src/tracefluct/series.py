@@ -13,22 +13,21 @@ explicit tag.  The convergence radius must exceed ``bound + 2`` for the
 operator norm of the series to converge on the operators built here;
 that check happens where a distribution is known.
 
-A polynomial is summed exactly.  Every sum over an infinite series (the
-truncation tail, the pointwise value, the case A kernel) is one walk,
-``_certified_sum``; zero coefficients are allowed anywhere.  It skips
-exact zeros and ends at a ratio below 1/2 between consecutive nonzero
-magnitudes (closing with the geometric tail bound), at a nonzero
-magnitude below 1e-300, or after ``_MAX_TERMS`` zeros in a row (a
-numerically finite series such as exp(0*x)).  So ``evaluate`` refuses an x whose
-terms c_j x^j never fall below ratio 1/2 (about |x| >= radius/2 for c_j = r^-j).
+A polynomial is summed exactly.  An infinite series declares a closed-form
+bound tail(k, x) >= sum_{j>k} |c_j| x^j when it is built: ``exponential``
+from the falling term ratio |rate x|/j, ``cauchy`` from a Cauchy estimate
+|c_j| <= m rho^-j (Ahlfors, *Complex Analysis*, ch. 4).  Every sum over an
+infinite series (the truncation, the pointwise value, the case A kernel)
+takes the smallest degree K <= ``_MAX_TRUNCATION_DEGREE`` whose bound meets
+its tolerance and sums c_0..c_K exactly, as for a polynomial.  Zero
+coefficients are allowed anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import single_flat_count
 
@@ -39,7 +38,6 @@ CASE_C = "C"
 #: critical decay exponent per fluctuation case
 ALPHA_CRITICAL = {CASE_A: 1 / 2, CASE_B: 1 / 4, CASE_C: 1 / 6}
 
-_MAX_TERMS = 300
 _MAX_TRUNCATION_DEGREE = 200
 
 
@@ -51,36 +49,6 @@ def _exponential_coefficient(rate: float, j: int) -> float:
         return 1.0
     mag = math.exp(j * math.log(abs(rate)) - math.lgamma(j + 1))
     return -mag if (rate < 0 and j % 2 == 1) else mag
-
-
-def _certified_sum(terms: Iterable[float], tol: float, what: str) -> tuple[float, float]:
-    """(partial, tail) by the module's one rule.  At a ratio r < 1/2 the tail bound |t| r / (1 - r)
-    holds while the ratios keep falling; it ends the walk once <= tol * max(1, |partial|)."""
-    partial = prev = 0.0
-    zeros = nonzero = 0
-    for term in terms:
-        if term == 0.0:
-            zeros += 1
-            if zeros == _MAX_TERMS:
-                return partial, 0.0
-            continue
-        zeros = 0
-        partial += term
-        size = abs(term)
-        if prev:
-            if size < 1e-300:
-                return partial, 0.0
-            ratio = size / prev
-            if ratio < 0.5:
-                tail = size * ratio / (1.0 - ratio)
-                if tail <= tol * max(1.0, abs(partial)):
-                    return partial, tail
-        prev = size
-        nonzero += 1
-        if nonzero == _MAX_TERMS:
-            break
-    raise ValueError(f"{what} did not enter a geometric regime within {_MAX_TERMS} "
-                     "nonzero terms; it is not certified summable")
 
 
 def classify_polynomial(coeffs: Sequence[float]) -> str:
@@ -104,7 +72,8 @@ class AnalyticSeries:
     """Taylor series sum_j c_j x^j with radius ``radius`` around the origin.
 
     ``degree`` is None for a genuinely infinite series; then ``coeff_fn``
-    supplies the coefficients.  ``case`` is the fluctuation case tag.
+    supplies the coefficients and ``tail_fn(k, x)`` bounds sum_{j>k} |c_j| x^j
+    (built by ``exponential`` or ``cauchy``).  ``case`` is the fluctuation case tag.
     """
 
     label: str
@@ -113,12 +82,16 @@ class AnalyticSeries:
     degree: int | None = None
     coeffs: tuple[float, ...] | None = None
     coeff_fn: Callable[[int], float] | None = None
+    tail_fn: Callable[[int, float], float] | None = None
 
     def __post_init__(self) -> None:
         if self.case not in (CASE_A, CASE_B, CASE_C):
             raise ValueError(f"unknown case tag {self.case!r}")
         if (self.degree is None) == (self.coeffs is not None):
             raise ValueError("provide either a finite coefficient tuple or a coeff_fn")
+        if self.coeffs is None and (self.coeff_fn is None or self.tail_fn is None):
+            raise ValueError("an infinite series needs a coeff_fn and its tail bound; "
+                             "build it with exponential or cauchy")
         if self.coeffs is not None:
             if self.case == CASE_B and any(
                 c != 0 for j, c in enumerate(self.coeffs) if j % 2 == 1
@@ -160,13 +133,40 @@ class AnalyticSeries:
 
     @classmethod
     def exponential(cls, rate: float, label: str | None = None) -> "AnalyticSeries":
-        """exp(rate*x); entire, so any operator bound is admissible."""
-        return cls(
-            label=label or f"exp({rate:g}x)",
-            radius=math.inf,
-            case=CASE_A,
-            coeff_fn=lambda j: _exponential_coefficient(rate, j),
-        )
+        """exp(rate*x); entire, so any operator bound is admissible.
+
+        With t_j = |c_j| x^j and q = |rate| x / (k + 2), every ratio t_j / t_{j-1} =
+        |rate| x / j for j >= k + 3 is at most q, so the tail past k is at most
+        t_{k+1} + t_{k+2} + t_{k+2} q / (1 - q) when q < 1.
+        """
+        if not math.isfinite(rate):
+            raise ValueError(f"exp rate must be finite, got {rate!r}")
+
+        def coeff(j: int) -> float:
+            return _exponential_coefficient(rate, j)
+
+        def tail(k: int, x: float) -> float:
+            first, second = (abs(coeff(j)) * x**j for j in (k + 1, k + 2))
+            q = abs(rate) * x / (k + 2)
+            return (first + second) + second * q / (1.0 - q) if q < 1.0 else math.inf
+
+        return cls(label=label or f"exp({rate:g}x)", radius=math.inf, case=CASE_A,
+                   coeff_fn=coeff, tail_fn=tail)
+
+    @classmethod
+    def cauchy(cls, label: str, coeff_fn: Callable[[int], float], m: float, rho: float,
+               case: str) -> "AnalyticSeries":
+        """Infinite series whose coefficients obey the Cauchy estimate |c_j| <= m rho^-j
+        for every j; its radius is rho and its tail past k at x < rho is at most
+        m (x/rho)^(k+1) / (1 - x/rho)."""
+        if not (0.0 <= m < math.inf and 0.0 < rho < math.inf):
+            raise ValueError(f"a Cauchy estimate needs finite m >= 0 and rho > 0, got {m!r}, {rho!r}")
+
+        def tail(k: int, x: float) -> float:
+            q = x / rho
+            return m * q ** (k + 1) / (1.0 - q) if q < 1.0 else math.inf
+
+        return cls(label=label, radius=rho, case=case, coeff_fn=coeff_fn, tail_fn=tail)
 
     # -- coefficient access --------------------------------------------------
 
@@ -186,24 +186,19 @@ class AnalyticSeries:
 
     # -- sums ------------------------------------------------------------------
 
-    def _weighted_sum(self, weight: Callable[[int], float], tol: float,
+    def _weighted_sum(self, weight: Callable[[int], float], x: float, tol: float,
                       start: int = 0, step: int = 1) -> float:
-        """sum of c_j * weight(j) over j = start, start + step, ...: exact over a polynomial's
-        row, else walked until the certified tail is at most ``tol`` of the sum; weight(j)
-        is not evaluated where c_j = 0, so a zero cannot overflow."""
-        if self.is_polynomial:
-            return math.fsum(self.coefficient(j) * weight(j)
-                             for j in range(start, self.degree + 1, step))
-        terms = (c * weight(j) if (c := self.coefficient(j)) else 0.0
-                 for j in itertools.count(start, step))
-        return _certified_sum(terms, tol, self.label)[0]
+        """fsum of c_j * weight(j) over j = start, start + step, ... <= truncation_degree(x, tol),
+        for weights with |weight(j)| <= x^j, so the dropped part is at most ``tol``;
+        weight(j) is not evaluated where c_j = 0, so a zero cannot overflow."""
+        degree = self.truncation_degree(x, tol)
+        return math.fsum(c * weight(j) for j in range(start, degree + 1, step)
+                         if (c := self.coefficient(j)))
 
     def tail_majorant(self, k: int, x: float) -> float:
-        """Upper bound on sum_{j>k} |c_j| x^j: walked terms plus certified tail; 0 for polynomials."""
-        if self.is_polynomial:
-            return 0.0
-        terms = (abs(c) * x**j if (c := self.coefficient(j)) else 0.0 for j in itertools.count(k + 1))
-        return sum(_certified_sum(terms, math.inf, self.label))
+        """Upper bound on sum_{j>k} |c_j| x^j for x >= 0 (inf where none is known);
+        0 for polynomials."""
+        return 0.0 if self.is_polynomial else self.tail_fn(k, x)
 
     def truncation_degree(self, x: float, tol: float, scale: float = 1.0) -> int:
         """Smallest degree K with scale * tail_majorant(K, x) <= tol."""
@@ -227,11 +222,10 @@ class AnalyticSeries:
         return self.coefficients_upto(degree), scale * self.tail_majorant(degree, bound + 2.0)
 
     def evaluate(self, x: float) -> float:
-        """Pointwise value, its certified tail below rounding; |x| must be inside the radius
-        and, for an infinite series, where the terms reach a ratio below 1/2 (module docstring)."""
+        """Pointwise value, |x| inside the radius; an infinite series drops at most 1e-17."""
         if abs(x) >= self.radius:
             raise ValueError("argument outside the convergence radius")
-        return self._weighted_sum(lambda j: x**j, 1e-17)
+        return self._weighted_sum(lambda j: x**j, abs(x), 1e-17)
 
 
 def require_radius(series: AnalyticSeries, bound: float) -> None:

@@ -255,7 +255,10 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
     (["--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:nan"], "finite"),
     (["--f", "poly:" + "0," * 12 + "1", "--alpha", "0.3", "--n-grid", "1000",
       "--dist", "uniform:1e30"], "exceeds 1e+300"),
-], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan", "overflow"])
+    (["--f", "exp:nan", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
+    (["--f", "exp:inf", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
+], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan", "overflow",
+        "exp-nan", "exp-inf"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")

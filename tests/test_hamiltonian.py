@@ -327,6 +327,6 @@ def test_trace_f_exponential_vs_eigensolver():
 
 
 def test_trace_f_radius_rejected():
-    tight = AnalyticSeries(label="tight", radius=2.5, case="A", coeff_fn=lambda j: 2.5**-j)
+    tight = AnalyticSeries.cauchy("tight", lambda j: 2.5**-j, 1.0, 2.5, "A")
     with pytest.raises(ValueError, match="radius"):
         replica_trace(tight, 10, 0.5, rademacher(), 1)

@@ -197,26 +197,23 @@ def test_case_a_infinite_series():
 
 
 def test_case_a_skips_a_zero_coefficient():
-    # c_j = 4^-j with c_3 = 0: the zero neither ends the kernel nor supplies a ratio
-    g = AnalyticSeries(label="g", radius=4.0, case="A",
-                       coeff_fn=lambda j: 0.0 if j == 3 else 4.0**-j)
+    # c_j = 4^-j with c_3 = 0: the zero leaves the kernel and its Cauchy bound intact
+    g = AnalyticSeries.cauchy("g", lambda j: 0.0 if j == 3 else 4.0**-j, 1.0, 4.0, "A")
     kernel = math.fsum(4.0**-j * single_flat_count(j) for j in range(1, 400, 2) if j != 3)
     assert case_a_sigma_sq(g, rademacher()) == pytest.approx(kernel**2, rel=1e-12)
     assert kernel**2 == pytest.approx(0.0848, abs=1e-4)
 
 
 @pytest.mark.parametrize("rate, sigma_sq", [(0.125, 0.016119036523024557),
-                                            (1.0, 5.196509150626267)])
+                                            (1.0, 5.196509150626617)])
 def test_case_a_exponential_pins(rate, sigma_sq):
     assert case_a_sigma_sq(AnalyticSeries.exponential(rate), rademacher()) == sigma_sq
 
 
 def test_case_a_refuses_uncertifiable_tail():
-    # terms of the single-flat series decay too slowly to certify a tail
-    slow = AnalyticSeries(
-        label="slow", radius=2.2, case="A", coeff_fn=lambda j: 2.2**-j
-    )
-    with pytest.raises(ValueError, match="summable"):
+    # single_flat_count(j) <= 3^j, and the Cauchy bound of a radius-2.2 series is inf at x = 3
+    slow = AnalyticSeries.cauchy("slow", lambda j: 2.2**-j, 1.0, 2.2, "A")
+    with pytest.raises(ValueError, match="meets tolerance"):
         case_a_sigma_sq(slow, rademacher())
 
 

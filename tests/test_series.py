@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracefluct.series import (
     ALPHA_CRITICAL,
@@ -68,21 +70,25 @@ def test_exponential_series_tail():
 
 
 def test_radius_check():
-    slow = AnalyticSeries(
-        label="geometric", radius=2.0, case=CASE_A, coeff_fn=lambda j: 2.0**-j
-    )
+    slow = AnalyticSeries.cauchy("geometric", lambda j: 2.0**-j, 1.0, 2.0, CASE_A)
     with pytest.raises(ValueError, match="radius"):
         require_radius(slow, bound=1.0)
     require_radius(AnalyticSeries.monomial(2), bound=1.0)
 
 
+def test_infinite_series_needs_a_tail_bound():
+    with pytest.raises(ValueError, match="tail bound"):
+        AnalyticSeries(label="bare", radius=4.0, case=CASE_A, coeff_fn=lambda j: 4.0**-j)
+    with pytest.raises(ValueError, match="Cauchy"):
+        AnalyticSeries.cauchy("bad", lambda j: 1.0, 1.0, math.inf, CASE_A)
+
+
 def test_tail_refuses_non_geometric():
-    # radius 3.5 series probed at x = 3.5: terms do not decay
-    s = AnalyticSeries(
-        label="edge", radius=3.5, case=CASE_A, coeff_fn=lambda j: 3.5**-j
-    )
-    with pytest.raises(ValueError, match="geometric"):
-        s.tail_majorant(5, 3.5)
+    # radius 3.5 series probed at x = 3.5: terms do not decay, so no degree is certified
+    s = AnalyticSeries.cauchy("edge", lambda j: 3.5**-j, 1.0, 3.5, CASE_A)
+    assert s.tail_majorant(5, 3.5) == math.inf
+    with pytest.raises(ValueError, match="meets tolerance 1"):
+        s.truncation_degree(3.5, 1.0)
 
 
 def _even_exponential(j):
@@ -93,9 +99,10 @@ def _odd_exponential(j):
     return 1.0 / math.factorial(j) if j % 2 else 0.0
 
 
+# 1/j! <= e^rho rho^-j for every j and rho
 def test_cosh_tail_skips_zero_coefficients():
-    cosh = AnalyticSeries(label="cosh", radius=math.inf, case=CASE_B, coeff_fn=_even_exponential)
-    # the odd zeros neither end the walk nor supply a ratio
+    cosh = AnalyticSeries.cauchy("cosh", _even_exponential, math.exp(20.0), 20.0, CASE_B)
+    # the odd zeros are allowed, and the bound covers all that is dropped
     assert cosh.tail_majorant(0, 3.0) >= math.cosh(3.0) - 1.0
     coeffs, tail = cosh.truncate(1.0, 1e-9, 1e5)
     k = len(coeffs) - 1
@@ -104,7 +111,7 @@ def test_cosh_tail_skips_zero_coefficients():
 
 
 def test_sinh_value_skips_zero_coefficients():
-    sinh = AnalyticSeries(label="sinh", radius=math.inf, case=CASE_A, coeff_fn=_odd_exponential)
+    sinh = AnalyticSeries.cauchy("sinh", _odd_exponential, math.exp(20.0), 20.0, CASE_A)
     assert sinh.evaluate(1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
 
 
@@ -130,9 +137,47 @@ def test_numerically_finite_series_sums_exactly():
     assert tiny.tail_majorant(0, 3.0) == tiny.coefficient(1) * 3.0
 
 
-def test_value_refused_where_terms_stay_above_half_ratio():
-    # c_j = 3.5^-j at x = 2 has term ratio 4/7 throughout: inside the radius, never certified
-    s = AnalyticSeries(label="geo", radius=3.5, case=CASE_A, coeff_fn=lambda j: 3.5**-j)
-    with pytest.raises(ValueError, match="not certified summable"):
-        s.evaluate(2.0)
+def test_value_certified_inside_the_radius():
+    # c_j = 3.5^-j at x = 2 has term ratio 4/7 throughout; the Cauchy bound certifies it
+    s = AnalyticSeries.cauchy("geo", lambda j: 3.5**-j, 1.0, 3.5, CASE_A)
+    assert s.evaluate(2.0) == pytest.approx(7.0 / 3.0, rel=1e-15)
     assert s.evaluate(1.0) == pytest.approx(1.0 / (1.0 - 1.0 / 3.5), rel=1e-15)
+    with pytest.raises(ValueError, match="radius"):
+        s.evaluate(-3.5)
+
+
+def _zigzag(j):
+    return 4.0**-j if j % 2 == 0 else 0.1 * 4.0**-j
+
+
+def test_zigzag_tail_dominates_the_dropped_terms():
+    # magnitudes that fall by 1/40 then rise by 10/4: a ratio below 1/2 says nothing of the rest
+    s = AnalyticSeries.cauchy("zigzag", _zigzag, 1.0, 4.0, CASE_A)
+    coeffs, tail = s.truncate(1.0, 1e-9, 1e5)
+    k = len(coeffs) - 1
+    dropped = 1e5 * math.fsum(_zigzag(j) * 3.0**j for j in range(k + 1, 500))
+    assert dropped <= tail <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    units=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=12),
+    m=st.floats(0.1, 10.0),
+    rho=st.floats(1.0, 4.0),
+    share=st.floats(-0.75, 0.75),
+    k=st.integers(0, 40),
+)
+def test_cauchy_tail_dominates_random_coefficients(units, m, rho, share, k):
+    # c_j = m u_(j mod L) rho^-j with |u| <= 1: zeros, zigzags and sign flips all obey the estimate
+    def coeff(j):
+        return m * units[j % len(units)] * rho**-j
+
+    s = AnalyticSeries.cauchy("random", coeff, m, rho, CASE_A)
+    x = share * rho
+    long = range(k + 400)
+    dropped = math.fsum(abs(coeff(j)) * abs(x) ** j for j in long if j > k)
+    assert dropped <= s.tail_majorant(k, abs(x)) * (1 + 1e-12)  # the bound can be tight
+    value = math.fsum(coeff(j) * x**j for j in long)
+    rounding = 1e-15 * math.fsum(abs(coeff(j) * x**j) for j in long)
+    assert abs(s.evaluate(x) - value) <= 1e-17 + rounding
