@@ -56,8 +56,6 @@ from .montecarlo import (
     EnsembleConfig,
     EnsembleResult,
     ScalingFunction,
-    case_a_sigma_sq,
-    case_b_sigma_sq,
     clt_check,
     convergence_check,
     joint_correlation,

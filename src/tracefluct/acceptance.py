@@ -28,12 +28,11 @@ from .expansion import power_expansion, series_expansion
 from .hamiltonian import eigenvalues, sample_potential, trace_moments
 from .montecarlo import (
     EnsembleConfig,
-    case_a_sigma_sq,
-    case_b_sigma_sq,
     clt_check,
     convergence_check,
     joint_correlation,
     run_ensemble,
+    sigma_sq_for,
 )
 from .series import AnalyticSeries
 from .symbolic import exact_expectation_trace_power, verify_interior_identity
@@ -218,15 +217,15 @@ def _criterion_6() -> CriterionResult:
     issues = []
     x3 = AnalyticSeries.monomial(3)
     for dist in (rademacher(), uniform_sqrt3()):
-        got = case_a_sigma_sq(x3, dist)
+        got = sigma_sq_for(x3, dist)
         want = 36.0 * float(dist.variance)
         if got != want or abs(got - brute_a(x3.coefficients_upto(3), dist)) > 1e-12:
             issues.append(f"case A x^3 under {dist.name}: {got}")
     u = uniform_sqrt3()
-    b2 = case_b_sigma_sq(AnalyticSeries.monomial(2), u)
+    b2 = sigma_sq_for(AnalyticSeries.monomial(2), u)
     if abs(b2 - 0.8) > 1e-12 or abs(b2 - brute_b([0, 0, 1], u)) > 1e-12:
         issues.append(f"case B x^2: {b2}")
-    b4 = case_b_sigma_sq(AnalyticSeries.monomial(4), u)
+    b4 = sigma_sq_for(AnalyticSeries.monomial(4), u)
     if abs(b4 - 67.2) > 1e-12 or abs(b4 - brute_b([0, 0, 0, 0, 1], u)) > 1e-12:
         issues.append(f"case B x^4: {b4}")
     return CriterionResult(

@@ -192,7 +192,7 @@ def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...],
                           bands: np.ndarray | None = None, bound: float | None = None) -> np.ndarray:
     """Trace moments of every prefix size in one pass: shape (len(sizes), k_max + 1).
 
-    ``sizes`` is strictly increasing and ends at ``v.size``; ``bands`` is
+    ``sizes`` is strictly increasing and ends by ``v.size`` (else a ValueError); ``bands`` is
     an optional `_band_buffer` for ``v.size`` sites, reused between calls.
     ``bound`` is a known bound on |V| (a law's support), certified against
     overflow in place of a scan of ``v`` for its largest magnitude.
@@ -207,6 +207,8 @@ def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...],
     sum shared by all later sizes (no walk from them reaches n), and the
     last top rows are summed for size n alone.
     """
+    if any(b <= a for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] > v.size):
+        raise ValueError(f"sizes {sizes} must be strictly increasing and at most {v.size}")
     out = np.empty((len(sizes), k_max + 1))
     out[:, 0] = sizes
     if k_max == 0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .distributions import DistributionSpec
 from .expansion import _check_row, _fold
 from .hamiltonian import (_band_buffer, _check_power_bound, _prefix_trace_moments, derive_seed,
                           sample_potential)
-from .series import ALPHA_CRITICAL, AnalyticSeries
+from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
 
 #: Certified bound on the dropped part of the case A single-flat series.
 _SIGMA_TAIL_TOL = 1e-12
@@ -240,55 +241,47 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 # ------------------------------------------------------- limiting variances
 
 
-def case_a_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
-    """Limiting variance for a general (case A) function.
-
-    The square of the odd-coefficient sum against the single-flat path
-    counts, times the law's variance.  An infinite series is summed exactly
-    through the smallest degree K with tail_majorant(K, 3) <= ``_SIGMA_TAIL_TOL``,
-    which bounds the dropped part because single_flat_count(j) =
-    j C(j-1, (j-1)/2) <= 3^j.
-    """
-    kernel = series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL, start=1, step=2)
-    return kernel * kernel * float(dist.variance)
-
-
-def case_b_sigma_sq(series: AnalyticSeries, dist: DistributionSpec) -> float:
-    """Limiting variance for an even-coefficient (case B) function.
-
-    Two pieces: the shared-level flat pairs against the fourth-moment
-    excess, plus split-level pairs at each separation against the squared
-    variance.  Each amplitude sum_j c_j * (path count) is one entry of the
-    coefficient row's profile table, the table the ensemble centers read.
-    """
-    if series.case != "B":
-        raise ValueError(f"{series.label} is not a case B function (odd coefficients or tag)")
-    degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
-    _check_cap(degree)
-    table = _profile_table(_row_key(series.coefficients_upto(degree)))
-    s_hi = max((degree - 2) // 2 + 1, 1)
-    fourth_excess = float(dist.moment(4) - dist.variance**2)
-    eta_four = float(dist.variance) ** 2
-
-    def amplitude(beta: MultiIndex) -> float:
-        win = table.get(beta.pairs)
-        return float(win.count) if win else 0.0
-
-    shared = amplitude(MultiIndex.two_delta())
-    total = shared * shared * fourth_excess
-    for s in range(1, s_hi + 1):
-        split = amplitude(MultiIndex.delta_pair(s))
-        total += split * split * eta_four
+def _lag_covariance_sum(beta: MultiIndex, beta2: MultiIndex, dist: DistributionSpec):
+    """sum over lags of Cov(X^beta, X^(beta2 + lag)), beta placed at 0; only the lags at which
+    the placements share a site count, and the sum is exact for a law with rational moments."""
+    mean = dist.moment_product(beta) * dist.moment_product(beta2)
+    total = 0
+    for lag in range(-beta2.span, beta.span + 1):
+        merged = Counter(dict(beta.pairs)) + Counter({h + lag: c for h, c in beta2.pairs})
+        if len(merged) < len(beta.pairs) + len(beta2.pairs):
+            total += dist.moment_product(MultiIndex.from_counts(merged)) - mean
     return total
 
 
-def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float | None:
-    """Dispatch on the case tag; None for case C (no closed form here)."""
-    if series.case == "A":
-        return case_a_sigma_sq(series, dist)
-    if series.case == "B":
-        return case_b_sigma_sq(series, dist)
-    return None
+def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:
+    """Limiting variance of the normalised fluctuation, in every case.
+
+    A case of flat weight w (``LEADING_WEIGHT``) fluctuates at leading order
+    as sum_n n^(-w alpha) Y_n, Y_n = sum_{|beta| = w} a_beta (X^beta - E X^beta)
+    placed at site n; sigma^2 is its long-run variance, sum_{beta, beta'}
+    a_beta a_beta' sum_lag Cov(X^beta, X^(beta' + lag)).  Each amplitude
+    a_beta = sum_l c_l (closed l-paths of profile beta) is one entry of the
+    row's profile table, which the ensemble centers read.  The one weight-1
+    amplitude, of delta, is summed in closed form through the smallest K with
+    tail_majorant(K, 3) <= ``_SIGMA_TAIL_TOL`` instead, since an infinite case A
+    series needs more terms than the table's cap: single_flat_count(j) <= 3^j.
+    """
+    w = LEADING_WEIGHT[series.case]
+    if w == 1:
+        amplitudes = [(MultiIndex.delta(),
+                       series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL))]
+    else:
+        degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
+        _check_cap(degree)
+        table = _profile_table(_row_key(series.coefficients_upto(degree)))
+        amplitudes = [(MultiIndex(pairs), float(table[pairs].count))
+                      for pairs in sorted(table, key=lambda pairs: (len(pairs), pairs))
+                      if sum(c for _, c in pairs) == w]
+    total = 0.0
+    for beta, a in amplitudes:
+        for beta2, a2 in amplitudes:
+            total += a * a2 * float(_lag_covariance_sum(beta, beta2, dist))
+    return total
 
 
 # ----------------------------------------------------------- normality stats
@@ -451,7 +444,9 @@ class ConvergencePair:
     n_small: int
     n_large: int
     diff_variance: float
-    variance_bound: float | None  # leading-term bound, case A only
+    # sigma^2 zeta(2 alpha, N_small + 1), case A only: the case C edge term -3 V_N (variance
+    # 9 N^(-2 alpha)) outlasts sigma^2 zeta(6 alpha, N_small + 1), 13-47x it for x^3 - 6x at 0.3
+    variance_bound: float | None
     bound_ratio: float | None
     supercritical: bool           # the scaled fluctuation is not defined (alpha above critical)
 
@@ -479,9 +474,7 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
     supercritical = not result.scaled_defined
     for fi, f in enumerate(result.f_labels):
         series = result.config.functions[fi]
-        bound_const = None
-        if series.case == "A":
-            bound_const = case_a_sigma_sq(series, result.config.dist)
+        bound_const = sigma_sq_for(series, result.config.dist) if series.case == "A" else None
         for n_small, n_large in zip(result.n_grid[:-1], result.n_grid[1:]):
             diffs = result.centered(f, n_large) - result.centered(f, n_small)
             var = float(np.var(diffs, ddof=1)) if diffs.size >= 2 else float("nan")

@@ -2,11 +2,11 @@
 
 A series is classified into one of three fluctuation cases:
 
-* ``A`` -- general coefficients (critical decay exponent 1/2),
-* ``B`` -- even coefficients only (critical exponent 1/4),
+* ``A`` -- general coefficients (leading weight 1, critical exponent 1/2),
+* ``B`` -- even coefficients only (weight 2, critical exponent 1/4),
 * ``C`` -- odd coefficients only, with the linear coefficient tuned to
   cancel the single-flat contribution of the higher odd powers
-  (critical exponent 1/6).
+  (weight 3, critical exponent 1/6).
 
 Polynomials are classified automatically; infinite series carry an
 explicit tag.  The convergence radius must exceed ``bound + 2`` for the
@@ -17,7 +17,7 @@ A polynomial is summed exactly.  An infinite series declares a closed-form
 bound tail(k, x) >= sum_{j>k} |c_j| x^j when it is built: ``exponential``
 from the falling term ratio |rate x|/j, ``cauchy`` from a Cauchy estimate
 |c_j| <= m rho^-j (Ahlfors, *Complex Analysis*, ch. 4).  Every sum over an
-infinite series (the truncation, the pointwise value, the case A kernel)
+infinite series (the truncation, the pointwise value, the case A amplitude)
 takes the smallest degree K <= ``_MAX_TRUNCATION_DEGREE`` whose bound meets
 its tolerance and sums c_0..c_K exactly, as for a polynomial.  Zero
 coefficients are allowed anywhere.
@@ -35,19 +35,25 @@ CASE_A = "A"
 CASE_B = "B"
 CASE_C = "C"
 
-#: critical decay exponent per fluctuation case
-ALPHA_CRITICAL = {CASE_A: 1 / 2, CASE_B: 1 / 4, CASE_C: 1 / 6}
+#: flat weight w of each case's leading fluctuation sum_n n^(-w alpha) Y_n
+LEADING_WEIGHT = {CASE_A: 1, CASE_B: 2, CASE_C: 3}
+
+#: critical decay exponent per fluctuation case, 1/(2w)
+ALPHA_CRITICAL = {case: 1 / (2 * w) for case, w in LEADING_WEIGHT.items()}
 
 _MAX_TRUNCATION_DEGREE = 200
 
 
 def _exponential_coefficient(rate: float, j: int) -> float:
-    """rate^j / j!, evaluated in log space to survive large j."""
+    """rate^j / j!, evaluated in log space to survive large j; +-inf past the float range."""
     if rate == 0.0:
         return 1.0 if j == 0 else 0.0
     if j == 0:
         return 1.0
-    mag = math.exp(j * math.log(abs(rate)) - math.lgamma(j + 1))
+    try:
+        mag = math.exp(j * math.log(abs(rate)) - math.lgamma(j + 1))
+    except OverflowError:
+        mag = math.inf
     return -mag if (rate < 0 and j % 2 == 1) else mag
 
 
@@ -186,14 +192,12 @@ class AnalyticSeries:
 
     # -- sums ------------------------------------------------------------------
 
-    def _weighted_sum(self, weight: Callable[[int], float], x: float, tol: float,
-                      start: int = 0, step: int = 1) -> float:
-        """fsum of c_j * weight(j) over j = start, start + step, ... <= truncation_degree(x, tol),
-        for weights with |weight(j)| <= x^j, so the dropped part is at most ``tol``;
-        weight(j) is not evaluated where c_j = 0, so a zero cannot overflow."""
+    def _weighted_sum(self, weight: Callable[[int], float], x: float, tol: float) -> float:
+        """fsum of c_j * weight(j) over j <= truncation_degree(x, tol), for weights with
+        |weight(j)| <= x^j, so the dropped part is at most ``tol``; weight(j) is not
+        evaluated where c_j = 0, so a zero cannot overflow."""
         degree = self.truncation_degree(x, tol)
-        return math.fsum(c * weight(j) for j in range(start, degree + 1, step)
-                         if (c := self.coefficient(j)))
+        return math.fsum(c * weight(j) for j in range(degree + 1) if (c := self.coefficient(j)))
 
     def tail_majorant(self, k: int, x: float) -> float:
         """Upper bound on sum_{j>k} |c_j| x^j for x >= 0 (inf where none is known);

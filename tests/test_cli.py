@@ -257,8 +257,10 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
       "--dist", "uniform:1e30"], "exceeds 1e+300"),
     (["--f", "exp:nan", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
     (["--f", "exp:inf", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
+    (["--f", "exp:1e300", "--alpha", "0.3", "--n-grid", "1000"],
+     "no truncation of exp:1e300 at x=3 meets tolerance 1e-09"),
 ], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan", "overflow",
-        "exp-nan", "exp-inf"])
+        "exp-nan", "exp-inf", "exp-huge"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")
@@ -277,6 +279,15 @@ def test_simulate_numerically_finite_series(tmp_path, capsys):
     assert code == 0, err
     (entry,) = json.loads((tmp_path / "clt_report.json").read_text())["entries"]
     assert entry["degenerate"] and entry["sigma_sq_theory"] == 0.0
+
+
+def test_simulate_case_c_reports_its_limiting_variance(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["simulate", "--f", "poly:0,-6,0,1", "--alpha", "0.1", "--n-grid", "1000",
+         "--replicas", "100", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    (entry,) = json.loads((tmp_path / "clt_report.json").read_text())["entries"]
+    assert entry["sigma_sq_theory"] == 1.0  # E X^6 under the default Rademacher law
 
 
 def test_simulate_just_above_critical_writes_samples(tmp_path, capsys):

@@ -150,6 +150,13 @@ def test_grid_pass_matches_per_size_calls(n_max):
                 assert abs(row[p] - one[p]) <= 1e-13 * _majorant(v[:n], p), (k, n, p)
 
 
+@pytest.mark.parametrize("sizes", [(1, 2), (2,), (1, 1), (2, 1)])
+def test_grid_pass_rejects_a_bad_grid(sizes):
+    # a size past the sample has no sites to read: the free 2-site chain's Tr H^2 is 2, not 0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _prefix_trace_moments(np.zeros(1), 2, sizes)
+
+
 def test_grid_pass_on_a_sparse_grid():
     v = sample_potential(3000, 0.2, uniform_sqrt3(), seed=31).values
     sizes = (5, 6, 700, 2999, 3000)

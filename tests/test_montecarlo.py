@@ -1,6 +1,8 @@
 """Ensemble machinery: determinism, sigma evaluators, diagnostics."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +15,11 @@ from tracefluct.combinatorics import (
     enumerate_closed_paths,
     single_flat_count,
 )
-from tracefluct.distributions import rademacher, uniform_sqrt3
+from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
     EnsembleConfig,
     ScalingFunction,
-    case_a_sigma_sq,
-    case_b_sigma_sq,
     clt_check,
     convergence_check,
     joint_correlation,
@@ -27,7 +27,8 @@ from tracefluct.montecarlo import (
     run_ensemble,
     sigma_sq_for,
 )
-from tracefluct.series import AnalyticSeries
+from tracefluct.series import LEADING_WEIGHT, AnalyticSeries
+from tracefluct.symbolic import trace_power_polynomial
 
 
 def brute_sigma_a(coeffs, dist):
@@ -173,25 +174,22 @@ def test_scaling_guard_above_critical():
 
 def test_case_a_examples():
     d = rademacher()
-    assert case_a_sigma_sq(AnalyticSeries.monomial(1), d) == 1.0
-    assert case_a_sigma_sq(AnalyticSeries.monomial(3), d) == 36.0
-    # the odd-normal-form combination cancels the leading term entirely
-    f = AnalyticSeries.polynomial([0, -6, 0, 1])
-    assert case_a_sigma_sq(f, d) == 0.0
+    assert sigma_sq_for(AnalyticSeries.monomial(1), d) == 1.0
+    assert sigma_sq_for(AnalyticSeries.monomial(3), d) == 36.0
     u = uniform_sqrt3()
-    assert case_a_sigma_sq(AnalyticSeries.monomial(3), u) == 36.0 * float(u.variance)
+    assert sigma_sq_for(AnalyticSeries.monomial(3), u) == 36.0 * float(u.variance)
 
 
 def test_case_a_matches_brute_force():
     d = uniform_sqrt3()
     for coeffs in ([0, 1], [0, 0.5, 0, 2], [1, -1, 2, 3, 0, 1], [0, 0, 0, 1, 0, 0, 0, 2]):
         f = AnalyticSeries.polynomial(coeffs)
-        assert case_a_sigma_sq(f, d) == pytest.approx(brute_sigma_a(f.coeffs, d), abs=1e-12)
+        assert sigma_sq_for(f, d) == pytest.approx(brute_sigma_a(f.coeffs, d), abs=1e-12)
 
 
 def test_case_a_infinite_series():
     f = AnalyticSeries.exponential(1 / 8)
-    val = case_a_sigma_sq(f, rademacher())
+    val = sigma_sq_for(f, rademacher())
     want = brute_sigma_a([f.coefficient(j) for j in range(14)], rademacher())
     assert val == pytest.approx(want, rel=1e-9)
 
@@ -200,28 +198,28 @@ def test_case_a_skips_a_zero_coefficient():
     # c_j = 4^-j with c_3 = 0: the zero leaves the kernel and its Cauchy bound intact
     g = AnalyticSeries.cauchy("g", lambda j: 0.0 if j == 3 else 4.0**-j, 1.0, 4.0, "A")
     kernel = math.fsum(4.0**-j * single_flat_count(j) for j in range(1, 400, 2) if j != 3)
-    assert case_a_sigma_sq(g, rademacher()) == pytest.approx(kernel**2, rel=1e-12)
+    assert sigma_sq_for(g, rademacher()) == pytest.approx(kernel**2, rel=1e-12)
     assert kernel**2 == pytest.approx(0.0848, abs=1e-4)
 
 
 @pytest.mark.parametrize("rate, sigma_sq", [(0.125, 0.016119036523024557),
                                             (1.0, 5.196509150626617)])
 def test_case_a_exponential_pins(rate, sigma_sq):
-    assert case_a_sigma_sq(AnalyticSeries.exponential(rate), rademacher()) == sigma_sq
+    assert sigma_sq_for(AnalyticSeries.exponential(rate), rademacher()) == sigma_sq
 
 
 def test_case_a_refuses_uncertifiable_tail():
     # single_flat_count(j) <= 3^j, and the Cauchy bound of a radius-2.2 series is inf at x = 3
     slow = AnalyticSeries.cauchy("slow", lambda j: 2.2**-j, 1.0, 2.2, "A")
     with pytest.raises(ValueError, match="meets tolerance"):
-        case_a_sigma_sq(slow, rademacher())
+        sigma_sq_for(slow, rademacher())
 
 
 def test_case_b_examples():
     u = uniform_sqrt3()
-    assert case_b_sigma_sq(AnalyticSeries.monomial(2), u) == pytest.approx(0.8, abs=1e-15)
-    assert case_b_sigma_sq(AnalyticSeries.monomial(2), rademacher()) == 0.0
-    assert case_b_sigma_sq(AnalyticSeries.monomial(4), u) == pytest.approx(67.2, abs=1e-12)
+    assert sigma_sq_for(AnalyticSeries.monomial(2), u) == pytest.approx(0.8, abs=1e-15)
+    assert sigma_sq_for(AnalyticSeries.monomial(2), rademacher()) == 0.0
+    assert sigma_sq_for(AnalyticSeries.monomial(4), u) == pytest.approx(67.2, abs=1e-12)
 
 
 def test_case_b_matches_brute_force():
@@ -229,7 +227,7 @@ def test_case_b_matches_brute_force():
     for coeffs in ([0, 0, 1], [0, 0, 1, 0, 1], [2, 0, -1, 0, 0, 0, 0.5],
                    [0, 0, 0, 0, 0, 0, 0, 0, 1]):
         f = AnalyticSeries.polynomial(coeffs)
-        assert case_b_sigma_sq(f, u) == pytest.approx(brute_sigma_b(f.coeffs, u), abs=1e-12)
+        assert sigma_sq_for(f, u) == pytest.approx(brute_sigma_b(f.coeffs, u), abs=1e-12)
 
 
 DEG12 = AnalyticSeries.polynomial([0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
@@ -251,15 +249,56 @@ def test_ensemble_and_variance_walk_the_row_once():
     assert _profile_table.cache_info().misses == 1
 
 
-def test_case_b_rejects_odd():
-    with pytest.raises(ValueError, match="odd"):
-        case_b_sigma_sq(AnalyticSeries.monomial(3), rademacher())
-
-
 def test_sigma_dispatch():
     assert sigma_sq_for(AnalyticSeries.monomial(1), rademacher()) == 1.0
     assert sigma_sq_for(AnalyticSeries.monomial(2), uniform_sqrt3()) == pytest.approx(0.8)
-    assert sigma_sq_for(AnalyticSeries.polynomial([0, -6, 0, 1]), rademacher()) is None
+    # case C: Tr H^3 - 6 Tr H is sum_n V_n^3 off the edges, so sigma^2 = E X^6
+    x3_6x = AnalyticSeries.polynomial([0, -6, 0, 1])
+    assert sigma_sq_for(x3_6x, rademacher()) == 1.0
+    assert sigma_sq_for(x3_6x, uniform_sqrt3()) == pytest.approx(27 / 7, rel=1e-15)
+
+
+def weight_part_variance(coeffs, n, w, dist):
+    """Oracle: the exact variance of the weight-w monomials of sum_j c_j Tr H^j on n sites,
+    at alpha = 0, from the expanded trace polynomials and the law's moments."""
+    poly: dict[tuple, Fraction] = {}
+    for j, c in enumerate(coeffs):
+        if c:
+            for mono, count in trace_power_polynomial(n, j).terms.items():
+                if mono.degree == w:
+                    poly[mono.sites] = poly.get(mono.sites, 0) + Fraction(c) * count
+    moments = [dist.moment(m) for m in range(2 * w + 1)]
+
+    def mean(counts):
+        return math.prod(moments[c] for c in counts)
+
+    at_site: dict[int, list] = {}
+    for sites in poly:
+        for site, _ in sites:
+            at_site.setdefault(site, []).append(sites)
+    var = Fraction(0)
+    for sites, a in poly.items():  # monomials on disjoint sites are independent
+        for other in {o for site, _ in sites for o in at_site[site]}:
+            merged = Counter(dict(sites))
+            merged.update(dict(other))
+            cov = mean(merged.values()) - mean(c for _, c in sites) * mean(c for _, c in other)
+            var += a * poly[other] * cov
+    return var
+
+
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3(), two_point(2, -1, Fraction(1, 3))],
+                         ids=["rad", "uni", "two-point"])
+@pytest.mark.parametrize("coeffs", [
+    [0, 0, 0, 1], [1, 2, 3, 4, 5],
+    [0, 0, 0, 0, 1], [0, 0, 1, 0, -3, 0, 2],
+    [0, -6, 0, 1], [0, -30, 0, 0, 0, 1], [0, 30, 0, -10, 0, 1], [0, -52, 0, 2, 0, -1, 0, 0.5],
+], ids=["A-x3", "A-deg4", "B-x4", "B-deg6", "C-x3", "C-x5", "C-deg5", "C-deg7"])
+def test_sigma_sq_is_the_growth_of_the_exact_variance(coeffs, dist):
+    # past the edges (N >= 3K + 4) the variance of the leading part grows by sigma^2 per site
+    f = AnalyticSeries.polynomial(coeffs)
+    w, n = LEADING_WEIGHT[f.case], 3 * f.degree + 4
+    growth = weight_part_variance(coeffs, n + 1, w, dist) - weight_part_variance(coeffs, n, w, dist)
+    assert sigma_sq_for(f, dist) == pytest.approx(float(growth), rel=1e-12)
 
 
 # -------------------------------------------------------------- diagnostics
