@@ -4,7 +4,7 @@ The mean splits into a linear-in-N part from flat-free walks, partial
 power sums weighted by moment-dressed path counts, and two bounded
 corrections (edge clipping and multi-site weight collapse).  The
 assembly is an identity, not an asymptotic: it matches the symbolic
-oracle to rounding error and costs O(N) at any size.
+oracle to rounding error, and its cost does not depend on N.
 """
 
 from tracefluct import (

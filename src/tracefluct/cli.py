@@ -336,6 +336,7 @@ def cmd_simulate(args) -> int:
     }, {
         **{f"degree:{f}": k for f, k in zip(result.f_labels, result.degrees)},
         **{f"tail:{f}": tail for f, tail in zip(result.f_labels, result.tails)},
+        **{f"center_error:{f}": err for f, err in zip(result.f_labels, result.center_errors)},
     })
     print(f"wrote {out_dir}/samples.csv and reports")
     return EXIT_OK

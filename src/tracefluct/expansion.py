@@ -9,12 +9,21 @@ trace of a power splits, exactly and for every finite N, into
   + placement correction                (multi-site weight collapse)
 
 where ``coeff_j`` sums path counts against moments over the canonical
-weight-j profiles.  Everything is evaluated without asymptotic
-approximation and without the symbolic polynomial, which stays an
-independent oracle; the decomposition reproduces it to rounding error.
-The site sums over i = 1..N all read one array u_i = i^(-alpha): the
-powers u^j are running products and each sum is numpy's pairwise sum,
-whose error for these same-sign terms is a few eps * log2(N) relative.
+weight-j profiles.  Nothing is evaluated from the symbolic polynomial,
+which stays an independent oracle; the decomposition reproduces it to
+rounding error.
+
+No site sum costs more than a fixed number of terms at any N.  The first
+_HEAD = 64 sites are summed term by term, and the rest of each power sum
+by Euler-Maclaurin (``_power_sum_tail``) with eight Bernoulli terms and
+a certified remainder.  Past the head each multi-site collapse defect
+prod_h (i+h)^(-alpha*c_h) - i^(-alpha*w) is its binomial series
+sum_m e_m i^(-alpha*w-m), cut after _BINOMIAL_TERMS orders with a
+certified bound, so the placement correction is a few power-sum tails
+too.  The edge windows touch O(K) sites at each end and are read
+directly.  The same tails taken to N = inf give the limit of the
+bounded remainder, and the summed remainder bounds give the report's
+``site_sum_error``.
 
 One fold, ``_fold``, reads the decomposition of a coefficient row
 c_0..c_K off that row's one profile table in
@@ -56,44 +65,127 @@ def divergent_power_cutoff(alpha: float) -> int:
     return max(0, math.floor((1.0 + _EPS_CUTOFF) / alpha))
 
 
-def _decay(m: int, alpha: float) -> np.ndarray:
-    """u_i = i^(-alpha) for the sites i = 1..m, the one array every site sum reads."""
-    return np.arange(1, m + 1, dtype=float) ** -alpha
+# Bernoulli numbers B_2k / (2k)! for k = 1..8, the Euler-Maclaurin corrections
+_EULER_MACLAURIN = tuple(
+    b / math.factorial(2 * k)
+    for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                           -3617 / 510), start=1)
+)
+_HEAD = 64  # sites i <= _HEAD are summed term by term; Euler-Maclaurin takes the rest
+_HEAD_SITES = np.arange(1.0, _HEAD + 1)
+_BINOMIAL_TERMS = 20  # orders m of each collapse defect's expansion in 1/i past the head
 
 
-def _decay_powers(u: np.ndarray, n: int, top: int):
-    """Yield (j, u_i^j over i = 1..n) for j = 1..top, each power one product from the last."""
-    p = u[:n]
-    for j in range(1, top + 1):
-        if j > 1:
-            p = p * u[:n]
-        yield j, p
+def _power_sum_tail(s: np.ndarray, a: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{i=a+1..b} i^(-s), a bound on its Euler-Maclaurin remainder) per exponent s > 0.
+
+    The integral of x^(-s) over [a, b] is a^(1-s) expm1((1-s) log(b/a)) / (1-s),
+    exactly log(b/a) at s = 1.  ``b`` may be inf, where the sum is inf for
+    s <= 1.  Every derivative of x^(-s) keeps one sign, so the remainder
+    after p Bernoulli terms is at most |B_2p|/(2p)! = 2 zeta(2p)/(2 pi)^(2p)
+    times |f^(2p-1)(a) - f^(2p-1)(b)|, where f^(n)(x) = (-1)^n (s)_n x^(-s-n).
+    """
+    s = np.asarray(s, dtype=float)
+    if b <= a:
+        return np.zeros_like(s), np.zeros_like(s)
+    a, b = float(a), float(b)
+    t = 1.0 - s
+    log_ratio = math.log(b / a)
+    at_log = t == 0.0
+    t_safe = np.where(at_log, 1.0, t)
+    total = np.where(at_log, log_ratio, a ** t * np.expm1(t_safe * log_ratio) / t_safe)
+    fa, fb = a ** -s, b ** -s
+    total += (fb - fa) / 2
+    rise, da, db = s, fa / a, fb / b  # (s)_(2k-1), a^(-s-2k+1), b^(-s-2k+1)
+    for k, c in enumerate(_EULER_MACLAURIN):
+        if k:
+            rise = rise * (s + 2 * k - 1) * (s + 2 * k)
+            da, db = da / (a * a), db / (b * b)
+        total += c * rise * (da - db)
+    return total, abs(c) * rise * (da - db)
+
+
+def _power_sums(s: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{i=1..n} i^(-s), its certified error) per exponent: the head, then the tail."""
+    tail, err = _power_sum_tail(s, _HEAD, n)
+    return (_HEAD_SITES[:min(n, _HEAD)] ** -s[:, None]).sum(axis=1) + tail, err
 
 
 def power_partial_sum(n: int, j: int, alpha: float) -> float:
-    """sum_{i=1..n} i^(-j*alpha): the running product of i^(-alpha), pairwise-summed by numpy."""
+    """sum_{i=1..n} i^(-j*alpha): the first sites term by term, Euler-Maclaurin beyond."""
     if n < 1 or j < 1:
         raise ValueError("need n >= 1 and j >= 1")
-    for _, p in _decay_powers(_decay(n, alpha), n, j):
-        pass
-    return float(p.sum())
+    return float(_power_sums(np.array([j * alpha]), n)[0][0])
 
 
-def _placed_weight(beta: MultiIndex, u: np.ndarray, start: int, n: int) -> np.ndarray:
-    """prod_h (i+h)^(-alpha*c_h) over i = start..start+n-1: ``beta`` placed with lowest site i.
-
-    ``u`` is ``_decay`` over at least start + n - 1 + span(beta) sites;
-    the integer powers are products.
-    """
-    w = None
+def _placed_weight(beta: MultiIndex, sites: np.ndarray, alpha: float) -> np.ndarray:
+    """prod_h (i+h)^(-alpha*c_h) for each i in ``sites``: ``beta`` placed with lowest site i."""
+    w = np.ones(len(sites))
     for h, c in beta.pairs:
-        seg = u[start - 1 + h:start - 1 + h + n]
-        for _ in range(c):
-            w = seg.copy() if w is None else w * seg
+        w *= (sites + h) ** (-alpha * c)
     return w
 
 
-def _edge_defects(table, u: np.ndarray, dist: DistributionSpec, n: int | None = None):
+def _defect_series(beta: MultiIndex, alpha: float) -> tuple[np.ndarray, float]:
+    """(e_1..e_M, bound) for prod_h (1 + h/i)^(-alpha*c_h) = 1 + sum_m e_m i^(-m) at i > _HEAD.
+
+    The majorant prod_h (1 - h x)^(-alpha*c_h) has the coefficients |e_m|
+    dominated term by term and none negative, so at rho = 1/(span+1) they
+    are at most its value there times rho^-m.  Past M the series is then at
+    most ``bound`` * i^(-M-1) at every site i > _HEAD.
+    """
+    e = np.zeros(_BINOMIAL_TERMS + 1)
+    e[0] = 1.0
+    orders = np.arange(_BINOMIAL_TERMS)
+    for h, c in beta.pairs:
+        if h:
+            a = alpha * c
+            binomial = np.cumprod((-a - orders) / (orders + 1) * h)
+            e = np.convolve(e, np.concatenate(([1.0], binomial)))[:_BINOMIAL_TERMS + 1]
+    r = beta.span + 1
+    majorant = math.prod((1 - h / r) ** (-alpha * c) for h, c in beta.pairs)
+    return e[1:], majorant * r ** (_BINOMIAL_TERMS + 1) / (1 - r / (_HEAD + 1))
+
+
+def _placement(spread, alpha: float, n: int) -> tuple[float, float, float]:
+    """(placement correction at N = n, its N = inf limit, its certified error).
+
+    ``spread`` lists each multi-level profile beta with its count times
+    moment.  Its collapse defect is summed over the head term by term, and
+    past it as sum_m e_m T(alpha*w + m), whose truncation is at most the
+    ``_defect_series`` bound times T(alpha*w + M + 1), T the power-sum tail.
+    """
+    if not spread:
+        return 0.0, 0.0, 0.0
+    betas, scales = zip(*spread)
+    scales = np.array(scales)
+    w = np.array([[beta.weight] for beta in betas], dtype=float)
+    heads = np.array([_placed_weight(beta, _HEAD_SITES, alpha) for beta in betas])
+    heads -= _HEAD_SITES ** (-alpha * w)
+    e, bounds = (np.array(x) for x in zip(*(_defect_series(beta, alpha) for beta in betas)))
+    s = (alpha * w + np.arange(1, _BINOMIAL_TERMS + 2)).ravel()
+    tails, errs = (x.reshape(len(betas), -1) for x in _power_sum_tail(s, _HEAD, n))
+    limits = _power_sum_tail(s, _HEAD, math.inf)[0].reshape(len(betas), -1)
+    value = scales * (heads[:, :n].sum(axis=1) + (e * tails[:, :-1]).sum(axis=1))
+    limit = scales * (heads.sum(axis=1) + (e * limits[:, :-1]).sum(axis=1))
+    err = np.abs(scales) * ((np.abs(e) * errs[:, :-1]).sum(axis=1)
+                            + bounds * (tails[:, -1] + errs[:, -1]))
+    return math.fsum(value), math.fsum(limit), math.fsum(err)
+
+
+def _moment_profiles(table, dist: DistributionSpec) -> list:
+    """(beta, windows, E[V^beta]) for each profile of ``table`` with flats and a nonzero moment."""
+    out = []
+    for pairs, win in table.items():
+        if pairs:
+            beta = MultiIndex(pairs)
+            ex = dist.moment_product(beta)
+            if ex != 0:
+                out.append((beta, win, ex))
+    return out
+
+
+def _edge_defects(profiles, alpha: float, n: int | None = None):
     """Yield (coefficient - path count) * E[V^beta] * weight over the clipped placements.
 
     A path of profile beta placed with its lowest flat at site iota leaves
@@ -102,32 +194,27 @@ def _edge_defects(table, u: np.ndarray, dist: DistributionSpec, n: int | None = 
     spans at most k/2 levels, so for N > 2k no path is clipped at both
     edges, and each edge clips a placement by its distance to that edge
     alone: the coefficients are read off the profile table's depth
-    histograms at a cost independent of N.  Only the left window is
-    yielded when ``n`` is None.
+    histograms at a cost independent of N.  The left window, which does not
+    depend on N, is yielded when ``n`` is None, the right window of N = n
+    sites otherwise.  ``profiles`` is a ``_moment_profiles`` list.
     """
-    for pairs, win in table.items():
-        if not pairs:
-            continue
-        beta = MultiIndex(pairs)
-        ex = dist.moment_product(beta)
-        if ex == 0:
-            continue
+    for beta, win, ex in profiles:
         exf = float(ex)
-        clipped = [sum(win.below[iota:]) for iota in range(1, len(win.below))]
-        weights = _placed_weight(beta, u, 1, len(clipped)).tolist()
-        yield from (-a * exf * w for a, w in zip(clipped, weights))
         if n is None:
-            continue
-        start = n - beta.span - len(win.above) + 2
-        clipped = [sum(win.above[max(n - iota - beta.span + 1, 0):])
-                   for iota in range(start, n + 1)]
-        weights = _placed_weight(beta, u, start, len(clipped)).tolist()
+            clipped = [sum(win.below[iota:]) for iota in range(1, len(win.below))]
+            start = 1
+        else:
+            start = n - beta.span - len(win.above) + 2
+            clipped = [sum(win.above[max(n - iota - beta.span + 1, 0):])
+                       for iota in range(start, n + 1)]
+        sites = np.arange(start, start + len(clipped), dtype=float)
+        weights = _placed_weight(beta, sites, alpha).tolist()
         yield from (-a * exf * w for a, w in zip(clipped, weights))
 
 
 def boundary_correction_limit(k: int, alpha: float, dist: DistributionSpec) -> float:
     """Large-N limit of the boundary correction of Tr H^k: the left window alone."""
-    return math.fsum(_edge_defects(_profile_table(_unit_row(k)), _decay(k + 1, alpha), dist))
+    return math.fsum(_edge_defects(_moment_profiles(_profile_table(_unit_row(k)), dist), alpha))
 
 
 @dataclass
@@ -142,7 +229,10 @@ class ExpansionReport:
 
     ``remainder`` collects the parts that stay bounded as N grows:
     constant + boundary + placement + the power-sum terms of order
-    beyond ``m_cutoff``.
+    beyond ``m_cutoff``; ``remainder_limit`` is its value at N = inf.
+    ``site_sum_error`` bounds what the Euler-Maclaurin remainders and the
+    truncated collapse expansions can move ``reconstructed_mean`` by;
+    floating-point rounding is not in it.
     """
 
     kind: str
@@ -159,6 +249,8 @@ class ExpansionReport:
     m_cutoff: int
     truncation_degree: int
     tail_bound: float
+    remainder_limit: float
+    site_sum_error: float
 
     @property
     def reconstructed_mean(self) -> float:
@@ -200,6 +292,8 @@ class ExpansionReport:
             "truncation_degree": self.truncation_degree,
             "tail_bound": self.tail_bound,
             "remainder": self.remainder,
+            "remainder_limit": self.remainder_limit,
+            "site_sum_error": self.site_sum_error,
             "reconstructed_mean": self.reconstructed_mean,
         }
 
@@ -219,9 +313,10 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
     The flat-free profile gives the linear and constant terms, each
     weight-j profile its moment-weighted count to the power-sum
     coefficient of order j, and each multi-level profile one sum of its
-    collapse defect prod_h (i+h)^(-alpha*c_h) - i^(-alpha*weight) over
-    i = 1..N.  Every site sum reads one array u_i = i^(-alpha): S_j(N)
-    and the weight-j defects share the running power u^j.
+    collapse defect prod_h (i+h)^(-alpha*c_h) - i^(-alpha*w) over
+    i = 1..N.  Past the head that defect is sum_m e_m i^(-alpha*w-m), so
+    every site sum is a head of _HEAD terms plus Euler-Maclaurin tails, at
+    N and at N = inf, and the cost does not depend on N.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
@@ -229,26 +324,22 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
     table = _profile_table(_row_key(coeffs))
     free = table.get((), ProfileWindows(0, (), ()))
     top = len(coeffs) - 1
+    profiles = _moment_profiles(table, dist)
     powersum_coeffs = {j: 0 for j in range(1, top + 1)}
-    spread: dict[int, list] = {}  # weight -> (multi-level profile, count * moment)
-    for pairs, win in table.items():
-        if not pairs:
-            continue
-        beta = MultiIndex(pairs)
-        ex = dist.moment_product(beta)
-        if ex == 0:
-            continue
+    spread = []  # (multi-level profile, count * moment)
+    for beta, win, ex in profiles:
         powersum_coeffs[beta.weight] += win.count * ex
         if not beta.is_single_level():
-            spread.setdefault(beta.weight, []).append((beta, win.count * float(ex)))
-    u = _decay(n + top, alpha)  # a profile of a K-path spans fewer than K levels
-    powersums, placement = {}, []
-    for j, p in _decay_powers(u, n, top):
-        powersums[j] = float(p.sum())
-        for beta, scale in spread.get(j, ()):
-            defect = _placed_weight(beta, u, 1, n)
-            defect -= p
-            placement.append(scale * float(defect.sum()))
+            spread.append((beta, win.count * float(ex)))
+    orders = np.arange(1, top + 1)
+    c = np.array([float(cj) for cj in powersum_coeffs.values()])
+    sums, sums_err = _power_sums(alpha * orders, n)
+    m_cutoff = divergent_power_cutoff(alpha)
+    beyond = orders[(orders > m_cutoff) & (c != 0)]  # the convergent orders that count
+    limits = c[beyond - 1] * _power_sums(alpha * beyond, math.inf)[0]
+    placement, placement_limit, placement_err = _placement(spread, alpha, n)
+    constant = float(-sum(d * m for hist in (free.below, free.above) for d, m in enumerate(hist)))
+    left = list(_edge_defects(profiles, alpha))
     return ExpansionReport(
         kind=kind,
         label=label,
@@ -256,16 +347,26 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
         alpha=alpha,
         dist_name=dist.name,
         linear_coeff=float(free.count),
-        constant_coeff=float(-sum(d * m for hist in (free.below, free.above)
-                                  for d, m in enumerate(hist))),
-        boundary=math.fsum(_edge_defects(table, u, dist, n)),
-        placement=math.fsum(placement),
-        powersum_coeffs={j: float(c) for j, c in powersum_coeffs.items()},
-        powersums=powersums,
-        m_cutoff=divergent_power_cutoff(alpha),
+        constant_coeff=constant,
+        boundary=math.fsum(left + list(_edge_defects(profiles, alpha, n))),
+        placement=placement,
+        powersum_coeffs={j: float(cj) for j, cj in powersum_coeffs.items()},
+        powersums={j: float(v) for j, v in enumerate(sums, start=1)},
+        m_cutoff=m_cutoff,
         truncation_degree=top,
         tail_bound=tail_bound,
+        remainder_limit=math.fsum([constant, *left, placement_limit, *limits]),
+        site_sum_error=math.fsum(np.abs(c) * sums_err) + placement_err,
     )
+
+
+def _truncate(series: AnalyticSeries, dist: DistributionSpec, tol: float,
+              scale: float) -> tuple[list[float], float]:
+    """``series.truncate`` for operators under ``dist``; a refusal names the law."""
+    try:
+        return series.truncate(dist.bound, tol, scale)
+    except ValueError as exc:
+        raise ValueError(f"{exc} under the law {dist.name}") from None
 
 
 def power_expansion(k: int, n: int, alpha: float, dist: DistributionSpec) -> ExpansionReport:
@@ -282,7 +383,7 @@ def series_expansion(series: AnalyticSeries, n: int, alpha: float,
     part carries the aggregated coefficients up to the divergence cutoff;
     everything else lands in ``remainder``.
     """
-    coeffs, tail = series.truncate(dist.bound, tail_tol, n)
+    coeffs, tail = _truncate(series, dist, tail_tol, n)
     return _fold(coeffs, n, alpha, dist, series.label, tail_bound=tail)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .combinatorics import MultiIndex, _check_cap, _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
-from .expansion import _check_row, _fold
+from .expansion import _check_row, _fold, _truncate
 from .hamiltonian import (_band_buffer, _check_power_bound, _prefix_trace_moments, derive_seed,
                           sample_potential)
 from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
@@ -120,6 +120,7 @@ class EnsembleResult:
     trace_s: float        # trace kernel and Tr f seconds, summed the same way
     degrees: tuple[int, ...]  # truncation degree K of each function
     tails: tuple[float, ...]  # certified bound on each function's dropped tail at the largest N
+    center_errors: tuple[float, ...]  # each function's largest site-sum error bound over the grid
 
     def _fi(self, f_label: str) -> int:
         return self.f_labels.index(f_label)
@@ -187,7 +188,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     case = config.resolved_case()
     if not config.dist.samplable:
         raise ValueError(f"{config.dist.name} cannot be sampled")
-    truncations = [f.truncate(config.dist.bound, config.tail_tol, config.n_grid[-1])
+    truncations = [_truncate(f, config.dist, config.tail_tol, config.n_grid[-1])
                    for f in config.functions]
     coeff_rows = tuple(tuple(coeffs) for coeffs, _ in truncations)
     for row in coeff_rows:
@@ -216,11 +217,9 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     raws, sample_times, trace_times = zip(*results)
 
     t0 = time.perf_counter()
-    centers = np.array([
-        [_fold(row, n, config.alpha, config.dist, f.label).reconstructed_mean
-         for n in config.n_grid]
-        for f, row in zip(config.functions, coeff_rows)
-    ])
+    folds = [[_fold(row, n, config.alpha, config.dist, f.label) for n in config.n_grid]
+             for f, row in zip(config.functions, coeff_rows)]
+    centers = np.array([[rep.reconstructed_mean for rep in reps] for reps in folds])
     center_s = time.perf_counter() - t0
     return EnsembleResult(
         config=config,
@@ -235,6 +234,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         trace_s=sum(trace_times),
         degrees=tuple(len(row) - 1 for row in coeff_rows),
         tails=tuple(tail for _, tail in truncations),
+        center_errors=tuple(max(rep.site_sum_error for rep in reps) for reps in folds),
     )
 
 

@@ -143,7 +143,8 @@ class AnalyticSeries:
 
         With t_j = |c_j| x^j and q = |rate| x / (k + 2), every ratio t_j / t_{j-1} =
         |rate| x / j for j >= k + 3 is at most q, so the tail past k is at most
-        t_{k+1} + t_{k+2} + t_{k+2} q / (1 - q) when q < 1.
+        t_{k+1} + t_{k+2} + t_{k+2} q / (1 - q) when q < 1.  A term whose x^j
+        leaves the float range is |(rate x)^j / j!|, formed in log space.
         """
         if not math.isfinite(rate):
             raise ValueError(f"exp rate must be finite, got {rate!r}")
@@ -151,10 +152,18 @@ class AnalyticSeries:
         def coeff(j: int) -> float:
             return _exponential_coefficient(rate, j)
 
+        def term(j: int, x: float) -> float:
+            try:
+                return abs(coeff(j)) * x**j
+            except OverflowError:
+                return abs(_exponential_coefficient(rate * x, j))
+
         def tail(k: int, x: float) -> float:
-            first, second = (abs(coeff(j)) * x**j for j in (k + 1, k + 2))
             q = abs(rate) * x / (k + 2)
-            return (first + second) + second * q / (1.0 - q) if q < 1.0 else math.inf
+            if q >= 1.0:
+                return math.inf
+            first, second = term(k + 1, x), term(k + 2, x)
+            return (first + second) + second * q / (1.0 - q)
 
         return cls(label=label or f"exp({rate:g}x)", radius=math.inf, case=CASE_A,
                    coeff_fn=coeff, tail_fn=tail)

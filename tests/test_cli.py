@@ -167,6 +167,9 @@ def test_expansion_f_mode_files(tmp_path, capsys):
     assert code == 0
     rep = json.loads((tmp_path / "expansion_report.json").read_text())
     assert rep["report"]["m_cutoff"] == 3
+    # x^2 at alpha = 0.3: nothing converges beyond the cutoff, so the limit is the constant
+    assert rep["report"]["remainder_limit"] == -2.0
+    assert 0.0 <= rep["report"]["site_sum_error"] < 1e-20
     csv_text = (tmp_path / "expansion_terms.csv").read_text()
     assert "j,coefficient,powersum,contribution" in csv_text
     assert_phase_times(tmp_path / "run_info.txt", ["expansion_s"])
@@ -224,6 +227,8 @@ def test_simulate_artifacts(tmp_path, capsys):
     # a polynomial is used whole: its degree, and nothing dropped
     assert fields["degree:poly:0,1"] == "1" and fields["degree:poly:0,0,0,1"] == "3"
     assert float(fields["tail:poly:0,1"]) == float(fields["tail:poly:0,0,0,1"]) == 0.0
+    # the centers' certified site-sum error, far below their rounding
+    assert 0.0 <= float(fields["center_error:poly:0,0,0,1"]) < 1e-20
 
 
 def test_simulate_reproducible(tmp_path, capsys):
@@ -259,8 +264,14 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
     (["--f", "exp:inf", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
     (["--f", "exp:1e300", "--alpha", "0.3", "--n-grid", "1000"],
      "no truncation of exp:1e300 at x=3 meets tolerance 1e-09"),
+    (["--f", "exp:1", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:1000"],
+     "no truncation of exp:1 at x=1002 meets tolerance 1e-09 within degree 200 "
+     "under the law uniform[-1000,1000]"),
+    # q < 1 throughout, but x^j leaves the float range before the tail meets the tolerance
+    (["--f", "exp:2e-9", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:1e10"],
+     "enumeration for k=75 exceeds the cap of 14"),
 ], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan", "overflow",
-        "exp-nan", "exp-inf", "exp-huge"])
+        "exp-nan", "exp-inf", "exp-huge", "exp-wide-law", "exp-term-overflow"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")

@@ -1,17 +1,22 @@
 """Exact mean decomposition: constants, corrections, and the oracle identity."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from tracefluct.combinatorics import MultiIndex, _profile_table, _unit_row, profile_counts
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.expansion import (
+    _HEAD,
+    _power_sum_tail,
     boundary_correction_limit,
     divergent_power_cutoff,
     exact_mean_trace_f,
@@ -194,6 +199,52 @@ def test_power_partial_sum_bounded_when_convergent():
     assert power_partial_sum(10**4, j, alpha) <= s  # monotone
 
 
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=4.0, exclude_min=True),
+       n=st.one_of(st.integers(1, _HEAD), st.integers(_HEAD + 1, 20_000)))
+def test_power_partial_sum_matches_fsum(s, n):
+    # the head of _HEAD sites plus the Euler-Maclaurin tail, against every site summed exactly
+    want = math.fsum(np.arange(1, n + 1, dtype=float) ** -s)
+    assert power_partial_sum(n, 1, s) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1.2, 2.4])
+def test_power_sum_tail_matches_hurwitz_zeta_at_large_n(s):
+    n = 10**9
+    (got,), (err,) = _power_sum_tail(np.array([s]), _HEAD, n)
+    assert got == pytest.approx(float(zeta(s, _HEAD + 1) - zeta(s, n + 1)), rel=1e-13)
+    assert 0.0 < err < 1e-28
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.0])
+def test_power_sum_tail_remainder_bound_holds(s):
+    # from a = 4 the Euler-Maclaurin remainder is far above rounding, and must stay under its bound
+    (got,), (err,) = _power_sum_tail(np.array([s]), 4, 1000)
+    want = math.fsum(np.arange(5, 1001, dtype=float) ** -s)
+    assert 1e-12 < err < 1e-8
+    assert abs(got - want) <= err
+
+
+@pytest.mark.parametrize("n", [1, 7, _HEAD])
+def test_power_sums_up_to_the_head_are_direct(n):
+    got, err = _power_sum_tail(np.array([0.4, 1.0, 2.5]), _HEAD, n)
+    assert got.tolist() == err.tolist() == [0.0, 0.0, 0.0]
+    want = math.fsum(np.arange(1, n + 1, dtype=float) ** -0.4)
+    assert power_partial_sum(n, 2, 0.2) == pytest.approx(want, rel=1e-15)
+
+
+def test_exact_mean_memory_does_not_grow_with_n():
+    args = (14, 0.2, uniform_sqrt3())
+    exact_mean_trace_power(30, *args)  # builds the row's profile table, which N does not touch
+    tracemalloc.start()
+    try:
+        val = exact_mean_trace_power(10**9, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(val) and peak < 2e6
+
+
 def test_divergent_power_cutoff():
     assert divergent_power_cutoff(0.26) == 3
     assert divergent_power_cutoff(0.3) == 3
@@ -371,6 +422,24 @@ def test_series_report_remainder_trend():
     rems = [series_expansion(f, n, 0.26, d).remainder for n in (10**3, 10**4, 10**5)]
     gaps = [abs(rems[1] - rems[0]), abs(rems[2] - rems[1])]
     assert gaps[1] < gaps[0]  # Cauchy trend
+
+
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
+def test_remainder_limit_x2(dist):
+    # E Tr H^2 = 2N - 2 + E X^2 S_2(N), and S_2(N) -> zeta(1.2) at alpha = 0.6
+    rep = series_expansion(AnalyticSeries.polynomial([0, 0, 1]), 100, 0.6, dist)
+    assert rep.remainder_limit == pytest.approx(-2.0 + float(zeta(1.2)), rel=1e-12)
+
+
+def test_remainder_limit_is_approached():
+    f, d = AnalyticSeries.polynomial(DEG12_ROW), uniform_sqrt3()
+    reps = [series_expansion(f, n, 0.2, d) for n in (10**3, 10**5, 10**7, 10**9)]
+    limit = reps[0].remainder_limit
+    assert all(r.remainder_limit == pytest.approx(limit, rel=1e-14) for r in reps)
+    gaps = [abs(r.remainder - limit) for r in reps]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    # the slowest piece is c_6 S_6: the gap shrinks like N^(1 - 6 alpha), 10^-0.4 per two decades
+    assert gaps[3] / gaps[2] == pytest.approx(100 ** (1 - 6 * 0.2), rel=0.01)
 
 
 def test_report_to_dict_roundtrip():
