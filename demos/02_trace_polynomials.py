@@ -37,7 +37,7 @@ print(f"\nIdentity check at N=20, k=6: {report.checked_interior} interior and "
       f"{len(report.interior_violations) + len(report.boundary_violations)} violations")
 
 s = sample_potential(12, 0.4, rademacher(), seed=2)
-exact = trace_power_polynomial(12, 6).evaluate(s.values)
+exact = trace_power_polynomial(12, 6).evaluate(s)
 numeric = trace_moments(s, 6)[6]
 print(f"\nPolynomial vs banded numeric trace at N=12, k=6: "
       f"{exact:.12f} vs {numeric:.12f} (diff {abs(exact - numeric):.2e})")

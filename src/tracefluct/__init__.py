@@ -19,7 +19,6 @@ from .combinatorics import (
 )
 from .distributions import (
     DistributionSpec,
-    from_moments,
     rademacher,
     two_point,
     uniform_sqrt3,
@@ -27,7 +26,6 @@ from .distributions import (
 )
 from .series import ALPHA_CRITICAL, AnalyticSeries, classify_polynomial
 from .hamiltonian import (
-    PotentialSample,
     derive_seed,
     eigenvalues,
     sample_potential,
@@ -37,7 +35,6 @@ from .symbolic import (
     SiteMonomial,
     TracePolynomial,
     coefficient_identity_report,
-    diag_entry_polynomial,
     exact_expectation_trace_power,
     trace_power_polynomial,
     verify_interior_identity,

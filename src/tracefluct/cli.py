@@ -275,12 +275,12 @@ def cmd_simulate(args) -> int:
         tail_tol=float(args.tail_tol) if args.tail_tol is not None else 1e-9,
         workers=int(args.workers) if args.workers is not None else 1,
     )
+    out_dir = Path(args.out or "tracefluct-run")
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the ensemble runs
     t0 = time.perf_counter()
     result = run_ensemble(config)
     t_ensemble = time.perf_counter()
     reports_s = 0.0  # variances, clt_check, joint_correlation; the rest after t_ensemble is writing
-    out_dir = Path(args.out or "tracefluct-run")
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_echo = config.to_dict()
 
     lines = _config_header(config_echo)
@@ -336,7 +336,7 @@ def cmd_simulate(args) -> int:
     }, {
         **{f"degree:{f}": k for f, k in zip(result.f_labels, result.degrees)},
         **{f"tail:{f}": tail for f, tail in zip(result.f_labels, result.tails)},
-        **{f"center_error:{f}": err for f, err in zip(result.f_labels, result.center_errors)},
+        **{f"site_sum_error:{f}": err for f, err in zip(result.f_labels, result.site_sum_errors)},
     })
     print(f"wrote {out_dir}/samples.csv and reports")
     return EXIT_OK
@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _merge_config(args)
         return _HANDLERS[args.command](args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

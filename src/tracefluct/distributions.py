@@ -1,10 +1,12 @@
 """Laws for the i.i.d. site variables: bounded, centered, with known moments.
 
-Moments are kept as :class:`fractions.Fraction` whenever the law allows
-it (Rademacher, uniform with an exactly-rational squared half-width,
-rational two-point laws), so that downstream coefficient sums can be
-evaluated without rounding.  Sampling consumes exactly one uniform
-variate per site, which keeps sampled sequences prefix-stable.
+There are three kinds: the sign law, the symmetric uniform law and
+two-point laws.  Moments are kept as :class:`fractions.Fraction`
+whenever the law allows it (Rademacher, uniform with an
+exactly-rational squared half-width, rational two-point laws), so that
+downstream coefficient sums can be evaluated without rounding.
+Sampling consumes exactly one uniform variate per site, which keeps
+sampled sequences prefix-stable.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -25,22 +26,20 @@ Number = Fraction | float
 class DistributionSpec:
     """A centered bounded law for the site variables.
 
-    ``kind`` is one of ``rademacher``, ``uniform``, ``two_point`` or
-    ``moments``; ``bound`` is the almost-sure bound on |X|.  The
-    ``moments`` kind carries a finite moment list and cannot be sampled.
+    ``kind`` is one of ``rademacher``, ``uniform`` or ``two_point``;
+    ``bound`` is the almost-sure bound on |X|, for a uniform law its
+    half width.
     """
 
     name: str
     kind: str
     bound: float
-    half_width: float | None = None
     half_width_sq: Fraction | None = None          # exact square, when known
     values: tuple[Fraction, Fraction] | None = None
     probs: tuple[Fraction, Fraction] | None = None
-    moment_list: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rademacher", "uniform", "two_point", "moments"):
+        if self.kind not in ("rademacher", "uniform", "two_point"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.bound <= 0:
             raise ValueError("the bound on |X| must be positive")
@@ -65,15 +64,9 @@ class DistributionSpec:
                 return Fraction(0)
             if self.half_width_sq is not None:
                 return self.half_width_sq ** (m // 2) / (m + 1)
-            return self.half_width**m / (m + 1)
-        if self.kind == "two_point":
-            (v1, v2), (p1, p2) = self.values, self.probs
-            return p1 * v1**m + p2 * v2**m
-        if m >= len(self.moment_list):
-            raise ValueError(
-                f"{self.name} only provides moments up to order {len(self.moment_list) - 1}"
-            )
-        return self.moment_list[m]
+            return self.bound**m / (m + 1)
+        (v1, v2), (p1, p2) = self.values, self.probs
+        return p1 * v1**m + p2 * v2**m
 
     @property
     def variance(self) -> Number:
@@ -91,14 +84,8 @@ class DistributionSpec:
 
     # -- sampling ---------------------------------------------------------
 
-    @property
-    def samplable(self) -> bool:
-        return self.kind != "moments"
-
     def sample_xs(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n i.i.d. variates, consuming one uniform per index, transformed in place."""
-        if not self.samplable:
-            raise ValueError(f"{self.name} is a moment specification and cannot be sampled")
         x = rng.random(n)
         if self.kind == "rademacher":
             x -= 0.5  # u = 0.5 gives +0.0, so the sign is + exactly where u >= 0.5
@@ -106,7 +93,7 @@ class DistributionSpec:
         elif self.kind == "uniform":
             x *= 2.0
             x -= 1.0
-            x *= self.half_width
+            x *= self.bound
         else:
             # v1 where u < p1, else v2: the sign of u - p1 picks an end of the
             # interval between the two values, with no mask array
@@ -135,7 +122,6 @@ def uniform_symmetric(half_width: float, exact_square: int | Fraction | None = N
         name=f"uniform[-{half_width:g},{half_width:g}]",
         kind="uniform",
         bound=half_width,
-        half_width=half_width,
         half_width_sq=hw_sq,
     )
 
@@ -156,11 +142,4 @@ def two_point(v_plus, v_minus, p_plus) -> DistributionSpec:
         bound=float(max(abs(v1), abs(v2))),
         values=(v1, v2),
         probs=(p1, 1 - p1),
-    )
-
-
-def from_moments(moments: Sequence[float], bound: float, name: str = "custom-moments") -> DistributionSpec:
-    """Moment-only specification (not samplable); moments[m] = E[X^m]."""
-    return DistributionSpec(
-        name=name, kind="moments", bound=bound, moment_list=tuple(float(m) for m in moments)
     )

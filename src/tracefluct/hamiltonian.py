@@ -20,7 +20,6 @@ the potential itself, and the top band of every power is all ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,19 +39,8 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class PotentialSample:
-    """One realisation V(1..N) of the decaying random potential."""
-
-    n_sites: int
-    alpha: float
-    seed: int
-    dist: DistributionSpec
-    values: np.ndarray  # V(n) = X_n / n^alpha
-
-
-def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: int) -> PotentialSample:
-    """Draw V(n) = X_n / n^alpha for n = 1..n_sites, prefix-stable in the seed."""
+def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: int) -> np.ndarray:
+    """The potential array V(n) = X_n / n^alpha, n = 1..n_sites; prefix-stable in the seed."""
     if n_sites < 1:
         raise ValueError("need at least one site")
     if not (math.isfinite(alpha) and alpha > 0):
@@ -60,7 +48,7 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     values = dist.sample_xs(rng, n_sites)
     values /= _site_scale(n_sites, alpha)
-    return PotentialSample(n_sites=n_sites, alpha=alpha, seed=seed, dist=dist, values=values)
+    return values
 
 
 @lru_cache(maxsize=4)
@@ -69,11 +57,6 @@ def _site_scale(n_sites: int, alpha: float) -> np.ndarray:
     scale = np.arange(1, n_sites + 1, dtype=float) ** alpha
     scale.flags.writeable = False
     return scale
-
-
-def _as_values(sample) -> np.ndarray:
-    values = getattr(sample, "values", sample)
-    return np.asarray(values, dtype=float)
 
 
 def trace_moments(sample, k_max: int) -> np.ndarray:
@@ -97,7 +80,7 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    v = _as_values(sample)
+    v = np.asarray(sample, dtype=float)
     return _prefix_trace_moments(v, k_max, (v.size,))[0]
 
 
@@ -253,18 +236,6 @@ def eigenvalues(sample) -> np.ndarray:
     """
     from scipy.linalg import eigh_tridiagonal
 
-    v = _as_values(sample)
+    v = np.asarray(sample, dtype=float)
     off = np.ones(max(v.size - 1, 0))
     return np.sort(eigh_tridiagonal(v, off, eigvals_only=True))
-
-
-def dense_matrix(values) -> np.ndarray:
-    """Dense N x N form of the operator; for small-N cross-checks."""
-    v = _as_values(values)
-    h = np.diag(v)
-    n = v.size
-    if n > 1:
-        idx = np.arange(n - 1)
-        h[idx, idx + 1] = 1.0
-        h[idx + 1, idx] = 1.0
-    return h

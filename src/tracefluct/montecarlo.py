@@ -120,7 +120,7 @@ class EnsembleResult:
     trace_s: float        # trace kernel and Tr f seconds, summed the same way
     degrees: tuple[int, ...]  # truncation degree K of each function
     tails: tuple[float, ...]  # certified bound on each function's dropped tail at the largest N
-    center_errors: tuple[float, ...]  # each function's largest site-sum error bound over the grid
+    site_sum_errors: tuple[float, ...]  # each function's largest site-sum error bound over the grid
 
     def _fi(self, f_label: str) -> int:
         return self.f_labels.index(f_label)
@@ -163,9 +163,9 @@ def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple
     sample_s = trace_s = 0.0
     for r, seed in enumerate(seeds):
         t0 = time.perf_counter()
-        sample = sample_potential(n_max, alpha, dist, seed)
+        v = sample_potential(n_max, alpha, dist, seed)
         t1 = time.perf_counter()
-        grid_moments = _prefix_trace_moments(sample.values, k_max, n_grid, bands, dist.bound)
+        grid_moments = _prefix_trace_moments(v, k_max, n_grid, bands, dist.bound)
         for ni, moments in enumerate(grid_moments):
             for fi, row in enumerate(coeff_rows):
                 out[r, fi, ni] = math.fsum(
@@ -186,8 +186,6 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     worker count.
     """
     case = config.resolved_case()
-    if not config.dist.samplable:
-        raise ValueError(f"{config.dist.name} cannot be sampled")
     truncations = [_truncate(f, config.dist, config.tail_tol, config.n_grid[-1])
                    for f in config.functions]
     coeff_rows = tuple(tuple(coeffs) for coeffs, _ in truncations)
@@ -234,7 +232,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         trace_s=sum(trace_times),
         degrees=tuple(len(row) - 1 for row in coeff_rows),
         tails=tuple(tail for _, tail in truncations),
-        center_errors=tuple(max(rep.site_sum_error for rep in reps) for reps in folds),
+        site_sum_errors=tuple(max(rep.site_sum_error for rep in reps) for reps in folds),
     )
 
 

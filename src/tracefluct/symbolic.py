@@ -122,7 +122,7 @@ class TracePolynomial:
         for mono, coeff in self.terms.items():
             m = 1.0
             for site, exp in mono.sites:
-                mm = dist.moment(exp)  # raises if the law lacks this moment
+                mm = dist.moment(exp)
                 if mm == 0:
                     m = 0.0
                     break
@@ -176,24 +176,6 @@ def trace_power_polynomial(n_sites: int, k: int) -> TracePolynomial:
     poly = TracePolynomial(n_sites=n_sites, power=k, constant=constant)
     poly.terms = {SiteMonomial(key): v for key, v in terms.items()}
     return poly
-
-
-def diag_entry_polynomial(n_sites: int, k: int, site: int) -> TracePolynomial:
-    """Exact expansion of the single diagonal entry (H^k)_{site,site}."""
-    _check_caps(n_sites, k)
-    if not 1 <= site <= n_sites:
-        raise ValueError("site out of range")
-    constant = 0
-    terms: dict[SiteMonomial, int] = {}
-    for (pairs, y_min, y_max), mult in _path_geometry(k):
-        if site + y_min < 1 or site + y_max > n_sites:
-            continue
-        if pairs is None:
-            constant += mult
-            continue
-        mono = SiteMonomial(tuple((site + h, c) for h, c in pairs))
-        terms[mono] = terms.get(mono, 0) + mult
-    return TracePolynomial(n_sites=n_sites, power=k, constant=constant, terms=terms)
 
 
 @dataclass

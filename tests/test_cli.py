@@ -228,7 +228,7 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert fields["degree:poly:0,1"] == "1" and fields["degree:poly:0,0,0,1"] == "3"
     assert float(fields["tail:poly:0,1"]) == float(fields["tail:poly:0,0,0,1"]) == 0.0
     # the centers' certified site-sum error, far below their rounding
-    assert 0.0 <= float(fields["center_error:poly:0,0,0,1"]) < 1e-20
+    assert 0.0 <= float(fields["site_sum_error:poly:0,0,0,1"]) < 1e-20
 
 
 def test_simulate_reproducible(tmp_path, capsys):
@@ -329,6 +329,28 @@ def test_simulate_config_file(tmp_path, capsys):
         capsys)
     assert code == 0
     assert (tmp_path / "flag_wins" / "samples.csv").exists()
+
+
+# ---------------------------------------------------------------- bad paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-poly", "--N", "3", "--k", "2", "--out", "{dir}"],
+    ["verify", "--json", "{dir}"],
+    ["simulate", "--config", "{dir}/missing.cfg"],
+    ["simulate", "--f", "poly:0,1", "--alpha", "0.3", "--replicas", "200", "--n-grid", "100000",
+     "--seed", "1", "--out", "{file}"],
+], ids=["trace-poly-out-is-dir", "verify-json-is-dir", "config-missing", "simulate-out-is-file"])
+def test_bad_path_is_a_validation_error(argv, tmp_path, capsys, monkeypatch):
+    # exit 2 with one error line, not a traceback; simulate finds it before any sample
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the output directory was made")
+
+    monkeypatch.setattr(montecarlo, "sample_potential", no_sampling)
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    code, _, err = run_cli([a.format(dir=tmp_path, file=existing) for a in argv], capsys)
+    assert code == 2 and err.startswith("error: "), err
 
 
 # ------------------------------------------------------------------- accept

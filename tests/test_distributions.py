@@ -7,7 +7,6 @@ import pytest
 
 from tracefluct.combinatorics import MultiIndex
 from tracefluct.distributions import (
-    from_moments,
     rademacher,
     two_point,
     uniform_sqrt3,
@@ -54,17 +53,6 @@ def test_two_point_moments():
 def test_uncentered_rejected():
     with pytest.raises(ValueError, match="centered"):
         two_point(1, -2, Fraction(1, 2))
-    with pytest.raises(ValueError, match="centered"):
-        from_moments([1.0, 0.3, 1.0], bound=1.0)
-
-
-def test_moment_list_limits():
-    d = from_moments([1.0, 0.0, 1.0, 0.0, 1.8], bound=1.5)
-    assert d.moment(4) == 1.8
-    with pytest.raises(ValueError, match="moments up to order"):
-        d.moment(5)
-    with pytest.raises(ValueError, match="cannot be sampled"):
-        d.sample_xs(np.random.default_rng(0), 10)
 
 
 def test_moment_product():

@@ -133,10 +133,10 @@ def test_linear_trace_is_exact_sum():
     for n in res.n_grid:
         for r in range(res.config.replicas):
             s = sample_potential(n, 0.3, rademacher(), derive_seed(99, r))
-            assert res.raw_traces(f, n)[r] == pytest.approx(np.sum(s.values), rel=1e-14)
+            assert res.raw_traces(f, n)[r] == pytest.approx(np.sum(s), rel=1e-14)
     # and the pipeline's scaled value matches the direct formula
     direct = np.array([
-        np.sum(sample_potential(200, 0.3, rademacher(), derive_seed(99, r)).values)
+        np.sum(sample_potential(200, 0.3, rademacher(), derive_seed(99, r)))
         for r in range(res.config.replicas)
     ])
     t = res.scaling_t()
@@ -150,7 +150,7 @@ def test_grid_coupling_prefix():
     for r in range(res.config.replicas):
         big = sample_potential(200, 0.3, rademacher(), derive_seed(99, r))
         assert res.raw_traces("x^1", 50)[r] == pytest.approx(
-            np.sum(big.values[:50]), rel=1e-14)
+            np.sum(big[:50]), rel=1e-14)
 
 
 def test_case_mismatch_rejected():

@@ -5,10 +5,9 @@ import pytest
 
 from tracefluct.combinatorics import MultiIndex, profile_count
 from tracefluct.distributions import rademacher, uniform_sqrt3
-from tracefluct.hamiltonian import dense_matrix, sample_potential, trace_moments
+from tracefluct.hamiltonian import sample_potential, trace_moments
 from tracefluct.symbolic import (
     SiteMonomial,
-    diag_entry_polynomial,
     exact_expectation_trace_power,
     trace_power_polynomial,
     verify_interior_identity,
@@ -49,16 +48,6 @@ def test_trace_k0():
     assert poly.constant == 7 and not poly.terms
 
 
-def test_diag_entries():
-    interior = diag_entry_polynomial(10, 2, 5)
-    assert interior.constant == 2
-    assert interior.terms == {SiteMonomial(((5, 2),)): 1}
-    edge = diag_entry_polynomial(10, 2, 1)
-    assert edge.constant == 1
-    assert edge.terms == {SiteMonomial(((1, 2),)): 1}
-    assert diag_entry_polynomial(10, 0, 3).constant == 1
-
-
 def test_caps_enforced():
     with pytest.raises(ValueError, match="power cap"):
         trace_power_polynomial(10, 13)
@@ -66,27 +55,14 @@ def test_caps_enforced():
         trace_power_polynomial(65, 2)
 
 
-@pytest.mark.parametrize("n,k", [(1, 4), (3, 5), (8, 6), (20, 8)])
-def test_trace_additivity(n, k):
-    poly = trace_power_polynomial(n, k)
-    merged: dict = {}
-    constant = 0
-    for i in range(1, n + 1):
-        d = diag_entry_polynomial(n, k, i)
-        constant += d.constant
-        for mono, c in d.terms.items():
-            merged[mono] = merged.get(mono, 0) + c
-    assert constant == poly.constant
-    assert merged == poly.terms
-
-
 @pytest.mark.parametrize("n,k", [(2, 3), (5, 4), (12, 6), (20, 8), (30, 12)])
 def test_polynomial_evaluation_matches_numeric_trace(n, k):
     s = sample_potential(n, 0.4, uniform_sqrt3(), seed=n * 10 + k)
     poly = trace_power_polynomial(n, k)
-    dense = np.trace(np.linalg.matrix_power(dense_matrix(s.values), k))
+    h = np.diag(s) + np.eye(n, k=1) + np.eye(n, k=-1)
+    dense = np.trace(np.linalg.matrix_power(h, k))
     banded = trace_moments(s, k)[k]
-    val = poly.evaluate(s.values)
+    val = poly.evaluate(s)
     assert val == pytest.approx(dense, rel=1e-10)
     assert val == pytest.approx(banded, rel=1e-10)
 
@@ -94,7 +70,8 @@ def test_polynomial_evaluation_matches_numeric_trace(n, k):
 def test_polynomial_evaluation_exact_for_integers():
     poly = trace_power_polynomial(6, 6)
     v = [1, -2, 0, 3, -1, 2]
-    dense = np.trace(np.linalg.matrix_power(dense_matrix(np.array(v, dtype=float)), 6))
+    h = np.diag(np.array(v, dtype=float)) + np.eye(6, k=1) + np.eye(6, k=-1)
+    dense = np.trace(np.linalg.matrix_power(h, 6))
     assert poly.evaluate(v) == int(round(dense))
     assert isinstance(poly.evaluate(v), int)
 
@@ -122,24 +99,6 @@ def test_interior_identity_requires_window():
         verify_interior_identity(3, 6)
 
 
-@pytest.mark.parametrize("k", range(2, 9, 2))
-def test_diag_interior_matches_profile_counts(k):
-    # for a deep-interior site every placed profile carries its full count,
-    # summed over placements it reproduces the per-profile path counts
-    n = 20
-    i = 10
-    d = diag_entry_polynomial(n, k, i)
-    from collections import Counter
-
-    per_profile = Counter()
-    for mono, c in d.terms.items():
-        per_profile[mono.profile()] += c
-    from tracefluct.combinatorics import profile_counts
-
-    expected = {b: c for b, c in profile_counts(k).items() if b.weight > 0}
-    assert dict(per_profile) == expected
-
-
 def test_boundary_monotonicity_n12_k6():
     poly = trace_power_polynomial(12, 6)
     for mono, coeff in poly.terms.items():
@@ -155,14 +114,6 @@ def test_expectation_k2_rademacher():
 
 def test_expectation_centered_k1():
     assert exact_expectation_trace_power(5, 1, 0.5, uniform_sqrt3()) == 0.0
-
-
-def test_expectation_needs_moments():
-    from tracefluct.distributions import from_moments
-
-    d = from_moments([1.0, 0.0, 1.0], bound=1.0)
-    with pytest.raises(ValueError, match="moments up to order"):
-        exact_expectation_trace_power(8, 4, 0.5, d)
 
 
 def test_expectation_matches_monte_carlo_k4():
