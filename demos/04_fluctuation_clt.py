@@ -12,7 +12,6 @@ from tracefluct import (
     clt_check,
     rademacher,
     run_ensemble,
-    sigma_sq_for,
     uniform_sqrt3,
 )
 
@@ -20,9 +19,8 @@ from tracefluct import (
 f = AnalyticSeries.monomial(3)
 cfg = EnsembleConfig(alpha=0.3, dist=rademacher(), functions=(f,),
                      n_grid=(2000, 20_000), replicas=400, base_seed=41)
-res = run_ensemble(cfg)
-theory = sigma_sq_for(f, cfg.dist)
-rep = clt_check(res, sigma_theory={f.label: theory})
+rep = clt_check(run_ensemble(cfg))
+theory = rep.entry(f.label, cfg.n_grid[0]).sigma_sq_theory
 print(f"x^3 under the sign law, alpha=0.3 (limiting sigma^2 = {theory:g}):")
 for n in cfg.n_grid:
     e = rep.entry(f.label, n)
@@ -33,15 +31,13 @@ for n in cfg.n_grid:
 f2 = AnalyticSeries.monomial(2)
 cfg2 = EnsembleConfig(alpha=0.2, dist=uniform_sqrt3(), functions=(f2,),
                       n_grid=(20_000,), replicas=400, base_seed=42)
-rep2 = clt_check(run_ensemble(cfg2), sigma_theory={f2.label: sigma_sq_for(f2, cfg2.dist)})
-e2 = rep2.entry(f2.label, 20_000)
-print(f"\nx^2 under the uniform law, alpha=0.2 (limiting sigma^2 = 4/5):")
+e2 = clt_check(run_ensemble(cfg2)).entry(f2.label, 20_000)
+print(f"\nx^2 under the uniform law, alpha=0.2 (limiting sigma^2 = {e2.sigma_sq_theory:g}):")
 print(f"  N=20000: scaled variance {e2.variance:.3f} (ratio {e2.variance_ratio:.3f})")
 
 # the same even function under the sign law is degenerate: x^2 has constant trace
 cfg3 = EnsembleConfig(alpha=0.2, dist=rademacher(), functions=(f2,),
                       n_grid=(20_000,), replicas=400, base_seed=43)
-rep3 = clt_check(run_ensemble(cfg3), sigma_theory={f2.label: 0.0})
-e3 = rep3.entry(f2.label, 20_000)
+e3 = clt_check(run_ensemble(cfg3)).entry(f2.label, 20_000)
 print(f"\nx^2 under the sign law is a point mass: variance {e3.variance:.2e}, "
-      f"degenerate={e3.degenerate}")
+      f"limiting sigma^2 = {e3.sigma_sq_theory:g}, degenerate={e3.degenerate}")

@@ -52,13 +52,13 @@ from .montecarlo import (
     CltReport,
     EnsembleConfig,
     EnsembleResult,
-    ScalingFunction,
     clt_check,
     convergence_check,
     joint_correlation,
     normality_stats,
     run_ensemble,
     sigma_sq_for,
+    variance_scale,
 )
 from .acceptance import run_criteria
 

@@ -249,13 +249,13 @@ def _criterion_7() -> CriterionResult:
     cfg_a = EnsembleConfig(alpha=0.3, dist=rademacher(),
                            functions=(AnalyticSeries.monomial(1),),
                            n_grid=(100_000,), replicas=1000, base_seed=710)
-    rep_a = clt_check(run_ensemble(cfg_a), sigma_theory={"x^1": 1.0})
+    rep_a = clt_check(run_ensemble(cfg_a))
     ok_a, msg_a = _normality_ok(rep_a.entry("x^1", 100_000), 1.0)
 
     cfg_b = EnsembleConfig(alpha=0.3, dist=rademacher(),
                            functions=(AnalyticSeries.monomial(3),),
                            n_grid=(50_000,), replicas=1000, base_seed=730)
-    rep_b = clt_check(run_ensemble(cfg_b), sigma_theory={"x^3": 36.0})
+    rep_b = clt_check(run_ensemble(cfg_b))
     ok_b, msg_b = _normality_ok(rep_b.entry("x^3", 50_000), 36.0)
     return CriterionResult(
         7, "case A normal limit",
@@ -269,12 +269,12 @@ def _criterion_8() -> CriterionResult:
     f2 = AnalyticSeries.monomial(2)
     cfg = EnsembleConfig(alpha=0.2, dist=uniform_sqrt3(), functions=(f2,),
                          n_grid=(100_000,), replicas=1000, base_seed=800)
-    rep = clt_check(run_ensemble(cfg), sigma_theory={"x^2": 0.8})
+    rep = clt_check(run_ensemble(cfg))
     ok, msg = _normality_ok(rep.entry("x^2", 100_000), 0.8)
 
     cfg_deg = EnsembleConfig(alpha=0.2, dist=rademacher(), functions=(f2,),
                              n_grid=(100_000,), replicas=1000, base_seed=801)
-    rep_deg = clt_check(run_ensemble(cfg_deg), sigma_theory={"x^2": 0.0})
+    rep_deg = clt_check(run_ensemble(cfg_deg))
     deg = rep_deg.entry("x^2", 100_000)
     ok_deg = deg.variance <= 0.05 and deg.degenerate
     return CriterionResult(

@@ -22,13 +22,7 @@ from .acceptance import MEAN_IDENTITY_TOL, mean_identity_sweep, run_criteria
 from .combinatorics import MultiIndex, profile_count, profile_counts
 from .distributions import DistributionSpec, rademacher, uniform_sqrt3, uniform_symmetric
 from .expansion import power_expansion, series_expansion
-from .montecarlo import (
-    EnsembleConfig,
-    clt_check,
-    joint_correlation,
-    run_ensemble,
-    sigma_sq_for,
-)
+from .montecarlo import EnsembleConfig, clt_check, joint_correlation, run_ensemble
 from .series import AnalyticSeries
 from .symbolic import coefficient_identity_report, trace_power_polynomial
 
@@ -172,7 +166,7 @@ def cmd_trace_poly(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(level: str, inject_fault: bool):
+def _verify_checks(level: str):
     k_max, n_grid, alphas = {
         "fast": (6, (20,), (0.35, 0.8)),
         "full": (8, (30, 40), (0.2, 0.35, 0.5, 0.8)),
@@ -180,11 +174,7 @@ def _verify_checks(level: str, inject_fault: bool):
     checks = []
     for k in range(1, k_max + 1):
         for n in n_grid:
-            poly = trace_power_polynomial(n, k)
-            if inject_fault and k == 2 and n == n_grid[0]:
-                mono = sorted(poly.terms, key=lambda m: m.sites)[n // 2]
-                poly.terms[mono] += 1
-            rep = coefficient_identity_report(poly)
+            rep = coefficient_identity_report(trace_power_polynomial(n, k))
             detail = "ok"
             if not rep.ok:
                 bad = (rep.interior_violations + rep.boundary_violations)[0]
@@ -207,11 +197,11 @@ def cmd_verify(args) -> int:
     level = args.level or "fast"
     if level not in ("fast", "full"):
         raise ValueError("level must be fast or full")
-    checks = _verify_checks(level, args.inject_fault)
+    checks = _verify_checks(level)
     failed = [c for c in checks if not c["passed"]]
     report = {
         "format_version": FORMAT_VERSION,
-        "config": {"level": level, "inject_fault": bool(args.inject_fault)},
+        "config": {"level": level},
         "checks_run": len(checks),
         "checks_failed": len(failed),
         "failures": failed,
@@ -280,7 +270,7 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     result = run_ensemble(config)
     t_ensemble = time.perf_counter()
-    reports_s = 0.0  # variances, clt_check, joint_correlation; the rest after t_ensemble is writing
+    reports_s = 0.0  # clt_check, joint_correlation; the rest after t_ensemble is writing
     config_echo = config.to_dict()
 
     lines = _config_header(config_echo)
@@ -303,8 +293,7 @@ def cmd_simulate(args) -> int:
               f"{result.alpha_c:g}; no normal-limit report", file=sys.stderr)
     else:
         t = time.perf_counter()
-        theory = {f.label: sigma_sq_for(f, dist) for f in functions}
-        report = clt_check(result, sigma_theory=theory)
+        report = clt_check(result)
         reports_s += time.perf_counter() - t
         payload = {"format_version": FORMAT_VERSION, "config": config_echo,
                    **report.to_dict()}
@@ -391,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle identity suites")
     p.add_argument("--level", choices=("fast", "full"))
     p.add_argument("--json", help="write the JSON report here")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="perturb one coefficient to self-test the reporting")
     p.add_argument("--config", help="key=value file; explicit flags win")
 
     p = sub.add_parser("expansion", help="exact mean decomposition report")

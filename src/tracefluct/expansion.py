@@ -212,11 +212,6 @@ def _edge_defects(profiles, alpha: float, n: int | None = None):
         yield from (-a * exf * w for a, w in zip(clipped, weights))
 
 
-def boundary_correction_limit(k: int, alpha: float, dist: DistributionSpec) -> float:
-    """Large-N limit of the boundary correction of Tr H^k: the left window alone."""
-    return math.fsum(_edge_defects(_moment_profiles(_profile_table(_unit_row(k)), dist), alpha))
-
-
 @dataclass
 class ExpansionReport:
     """All constants of the exact mean decomposition for one power or series.

@@ -20,13 +20,13 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .combinatorics import MultiIndex, _check_cap, _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
-from .expansion import _check_row, _fold, _truncate
+from .expansion import _check_row, _fold, _power_sum_tail, _truncate
 from .hamiltonian import (_band_buffer, _check_power_bound, _prefix_trace_moments, derive_seed,
                           sample_potential)
 from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
@@ -35,25 +35,13 @@ from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
 _SIGMA_TAIL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ScalingFunction:
-    """Fluctuation scale g_t; samples are normalised by sqrt(g_t(N))."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError("the scaling index t must lie in (0, 1]")
-
-    def g(self, n: int) -> float:
-        if n < 2:
-            raise ValueError("the scale is positive only for N >= 2")
-        if self.t == 1.0:
-            return math.log(n)
-        return n ** (1.0 - self.t) / (1.0 - self.t)
-
-    def normalizer(self, n: int) -> float:
-        return math.sqrt(self.g(n))
+def variance_scale(n: int, t: float) -> float:
+    """Fluctuation scale g_t(N); samples are normalised by sqrt(g_t(N))."""
+    if not 0.0 < t <= 1.0:
+        raise ValueError("the scaling index t must lie in (0, 1]")
+    if n < 2:
+        raise ValueError("the scale is positive only for N >= 2")
+    return math.log(n) if t == 1.0 else n ** (1.0 - t) / (1.0 - t)
 
 
 # --------------------------------------------------------------- ensembles
@@ -148,8 +136,8 @@ class EnsembleResult:
         return min(self.config.alpha / self.alpha_c, 1.0)
 
     def scaled(self, f_label: str, n: int, t: float | None = None) -> np.ndarray:
-        scale = ScalingFunction(self.scaling_t() if t is None else t)
-        return self.centered(f_label, n) / scale.normalizer(n)
+        scale = variance_scale(n, self.scaling_t() if t is None else t)
+        return self.centered(f_label, n) / math.sqrt(scale)
 
 
 def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple[float, ...], ...],
@@ -297,19 +285,10 @@ class NormalityStats:
     ks_distance: float | None = None
 
     def to_dict(self) -> dict:
-        def clean(x):
-            return None if x is None or (isinstance(x, float) and math.isnan(x)) else x
-
-        return {
-            "count": self.count,
-            "variance": clean(self.variance),
-            "skewness": clean(self.skewness),
-            "excess_kurtosis": clean(self.excess_kurtosis),
-            "sigma_sq_theory": clean(self.sigma_sq_theory),
-            "variance_ratio": clean(self.variance_ratio),
-            "degenerate": self.degenerate,
-            "ks_distance": clean(self.ks_distance),
-        }
+        """Every field in declaration order, NaN written as None (JSON null)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in values.items()}
 
 
 def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
@@ -377,13 +356,14 @@ class CltReport:
         }
 
 
-def clt_check(result: EnsembleResult, sigma_theory: dict | None = None) -> CltReport:
-    """Normality diagnostics of the scaled fluctuations, per function and size."""
+def clt_check(result: EnsembleResult) -> CltReport:
+    """Normality diagnostics of the scaled fluctuations, per function and size,
+    each against the function's limiting variance ``sigma_sq_for``."""
     if result.raw.shape[0] < 100:
         raise ValueError("the diagnostics need at least 100 replicas")
     report = CltReport(t_scaling=result.scaling_t())
-    for f in result.f_labels:
-        theory = (sigma_theory or {}).get(f)
+    for series, f in zip(result.config.functions, result.f_labels):
+        theory = sigma_sq_for(series, result.config.dist)
         for n in result.n_grid:
             report.entries[(f, n)] = normality_stats(result.scaled(f, n), sigma_sq_theory=theory)
     return report
@@ -395,8 +375,7 @@ def clt_check(result: EnsembleResult, sigma_theory: dict | None = None) -> CltRe
 @dataclass
 class CorrelationReport:
     f_labels: tuple[str, ...]
-    matrices: dict = field(default_factory=dict)        # n -> ndarray
-    undefined_pairs: dict = field(default_factory=dict)  # n -> list[(f_i, f_j)]
+    matrices: dict = field(default_factory=dict)  # n -> ndarray
 
     def matrix(self, n: int) -> np.ndarray:
         return self.matrices[n]
@@ -414,22 +393,12 @@ def joint_correlation(result: EnsembleResult) -> CorrelationReport:
     if result.raw.shape[0] < 2:
         raise ValueError("need at least two replicas")
     report = CorrelationReport(f_labels=result.f_labels)
-    nf = len(result.f_labels)
     for n in result.n_grid:
         cols = np.stack([result.centered(f, n) for f in result.f_labels])
-        sd = cols.std(axis=1, ddof=1)
-        mat = np.full((nf, nf), np.nan)
-        undefined = []
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-variance row gives NaN
+            mat = np.corrcoef(cols)
         np.fill_diagonal(mat, 1.0)
-        for i in range(nf):
-            for j in range(i + 1, nf):
-                if sd[i] == 0.0 or sd[j] == 0.0:
-                    undefined.append((result.f_labels[i], result.f_labels[j]))
-                    continue
-                c = np.corrcoef(cols[i], cols[j])[0, 1]
-                mat[i, j] = mat[j, i] = float(c)
         report.matrices[n] = mat
-        report.undefined_pairs[n] = undefined
     return report
 
 
@@ -442,8 +411,9 @@ class ConvergencePair:
     n_small: int
     n_large: int
     diff_variance: float
-    # sigma^2 zeta(2 alpha, N_small + 1), case A only: the case C edge term -3 V_N (variance
-    # 9 N^(-2 alpha)) outlasts sigma^2 zeta(6 alpha, N_small + 1), 13-47x it for x^3 - 6x at 0.3
+    # sigma^2 (T + E), T the Euler-Maclaurin tail sum_{n > N_small} n^(-2 alpha) and E its
+    # certified remainder, case A only: the case C edge term -3 V_N (variance 9 N^(-2 alpha))
+    # outlasts sigma^2 zeta(6 alpha, N_small + 1), 13-47x it for x^3 - 6x at 0.3
     variance_bound: float | None
     bound_ratio: float | None
     supercritical: bool           # the scaled fluctuation is not defined (alpha above critical)
@@ -461,9 +431,10 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
 
     For each adjacent size pair the variance of the per-replica
     fluctuation difference is compared against the leading-term bound
-    sigma^2(f) * sum_{n > N_small} n^(-2*alpha) (finite only above the
-    case A critical exponent; the tail diverges below it, which the
-    report flags instead of asserting convergence).
+    sigma^2(f) * sum_{n > N_small} n^(-2*alpha), the sum taken with its
+    Euler-Maclaurin remainder added (finite only above the case A critical
+    exponent; the tail diverges below it, which the report flags instead
+    of asserting convergence).
     """
     if len(result.n_grid) < 2:
         raise ValueError("need at least two grid sizes")
@@ -478,12 +449,8 @@ def convergence_check(result: EnsembleResult) -> ConvergenceReport:
             var = float(np.var(diffs, ddof=1)) if diffs.size >= 2 else float("nan")
             bound = None
             if bound_const is not None:
-                tail = math.inf
-                if 2 * alpha > 1:
-                    from scipy.special import zeta  # here, so scipy stays off the import path
-
-                    tail = float(zeta(2 * alpha, n_small + 1))
-                bound = bound_const * tail
+                tail, err = _power_sum_tail(np.array([2 * alpha]), n_small, math.inf)
+                bound = bound_const * float(tail[0] + err[0])
             report.pairs.append(ConvergencePair(
                 f_label=f, n_small=n_small, n_large=n_large,
                 diff_variance=var,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tracefluct import acceptance, montecarlo
+from tracefluct import acceptance, cli, montecarlo
 from tracefluct.acceptance import CriterionResult
 from tracefluct.cli import main, parse_beta, parse_dist, parse_function
 from tracefluct.combinatorics import MultiIndex
@@ -135,8 +135,18 @@ def test_verify_fast(tmp_path, capsys):
     assert report["checks_run"] > 50
 
 
-def test_verify_fault_injection(capsys):
-    code, out, err = run_cli(["verify", "--level", "fast", "--inject-fault"], capsys)
+def test_verify_fault_injection(monkeypatch, capsys):
+    # one wrong interior coefficient of Tr H^2 fails the run and is named on stderr
+    exact = cli.trace_power_polynomial
+
+    def faulty(n, k):
+        poly = exact(n, k)
+        if k == 2:
+            poly.terms[sorted(poly.terms, key=lambda m: m.sites)[n // 2]] += 1
+        return poly
+
+    monkeypatch.setattr(cli, "trace_power_polynomial", faulty)
+    code, out, err = run_cli(["verify", "--level", "fast"], capsys)
     assert code == 1
     assert "k=2" in err and "beta=" in err
 

@@ -17,7 +17,6 @@ from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.expansion import (
     _HEAD,
     _power_sum_tail,
-    boundary_correction_limit,
     divergent_power_cutoff,
     exact_mean_trace_f,
     exact_mean_trace_power,
@@ -274,7 +273,7 @@ def test_boundary_matches_direct_window_sum(k, dist):
 
 def test_boundary_left_window_stable_right_window_decays():
     k, alpha, dist = 4, 0.5, rademacher()
-    limit = boundary_correction_limit(k, alpha, dist)
+    limit = power_expansion(k, 10**12, alpha, dist).boundary  # the right window is below 1e-5
     b20, b40, b800 = (power_expansion(k, n, alpha, dist).boundary for n in (20, 40, 800))
     # the left-window part is N-independent; the rest shrinks toward 0
     assert abs(b800 - limit) < abs(b40 - limit) < abs(b20 - limit)
