@@ -16,20 +16,23 @@ integer.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
+
+import numpy as np
 
 UP = 1
 FLAT = 0
 DOWN = -1
 
 #: Hard ceiling on the path length of enumeration and profile tables.  The
-#: profile step DP takes about 0.1 s at k = 14; the oracle enumeration
+#: profile step DP takes about 0.03 s at k = 14; the oracle enumeration
 #: yields every one of the ~616k closed 14-paths.  Larger powers are served
-#: by closed forms only.
+#: by closed forms only; the assert keeps _profile_table's int64 flat codes exact.
 DEFAULT_ENUMERATION_CAP = 14
+assert (DEFAULT_ENUMERATION_CAP + 1) ** (DEFAULT_ENUMERATION_CAP + 1) < 2**63
 
 _STEP_CHARS = {UP: "U", FLAT: "F", DOWN: "D"}
 
@@ -242,48 +245,69 @@ def _row_key(coeffs) -> tuple:
     return tuple(int(c) if float(c).is_integer() else c for c in coeffs)
 
 
+def _merge(n, *cols):
+    """Sum the weights ``n`` over equal rows of the int64 ``cols``: (weights, *cols) of the distinct rows."""
+    order = np.lexsort(cols)
+    cols = np.stack(cols)[:, order]
+    start = np.flatnonzero(np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)])
+    return (np.add.reduceat(n[order], start), *cols[:, start])
+
+
+def _decode_flats(code: int, base: int) -> tuple[tuple[int, int], ...]:
+    """The (offset, count) pairs of a flat-multiset code, one base-``base`` digit per level."""
+    pairs, h = [], 0
+    while code:
+        code, count = divmod(code, base)
+        if count:
+            pairs.append((h, count))
+        h += 1
+    return tuple(pairs)
+
+
 @lru_cache(maxsize=None)
 def _profile_table(coeffs: tuple) -> dict[tuple[tuple[int, int], ...], ProfileWindows]:
     """The closed paths of every length l <= K, weighted by c_l, grouped by canonical profile.
 
-    One forward step DP over states (level, sorted flat levels, min level,
-    max level), pruned to the levels that can still return to the origin by
-    length K.  The paths closing at length l add c_l times their count to
-    their raw (sorted flat levels, min level, max level) key; canonicalising
-    and the depth histograms wait for the few distinct keys.  Clipping on a
+    One forward step DP, pruned to the levels that can still return to the
+    origin by length K; each step is a few numpy passes over all states.  A
+    state is four int64 columns: its level, lowest and highest level, each
+    shifted by r = K // 2, and its flat multiset coded as sum_y c_y (K+1)^(y+r).
+    No digit exceeds K, so every code is below (K+1)^(K+1) < 2^63 up to the
+    cap, and no path count exceeds 3^K.  At each l with c_l != 0 the closed
+    states merge into (canonical code, depth below, depth above) cells, a few
+    hundred, and only these reach Python, which adds c_l times their count:
+    an integer row stays exact in Python ints of any size.  Clipping on a
     chain depends on a placed path's profile and depths, not its length, so
     the histograms of different lengths add.  Keys are profile pairs.
     """
     last = len(coeffs) - 1
-    raw: dict[tuple[tuple[int, ...], int, int], int] = {}
-    states = {(0, (), 0, 0): 1}
+    _check_cap(last)
+    r, base = max(last, 0) // 2, last + 1
+    digit = base ** np.arange(2 * r + 1, dtype=np.int64)
+    level, lo, hi, code, n = np.array([[r], [r], [r], [0], [1]], dtype=np.int64)
+    depths: defaultdict[int, tuple[Counter, Counter]] = defaultdict(lambda: (Counter(), Counter()))
     for l, c in enumerate(coeffs):
         if l:
-            reach = last - l
-            step: dict[tuple[int, tuple[int, ...], int, int], int] = {}
-            for (level, flats, lo, hi), n in states.items():
-                for y in (level - 1, level, level + 1):
-                    if abs(y) <= reach:
-                        ys = tuple(sorted(flats + (y,))) if y == level else flats
-                        key = (y, ys, min(lo, y), max(hi, y))
-                        step[key] = step.get(key, 0) + n
-            states = step
+            y = np.concatenate((level - 1, level, level + 1))
+            keep = np.abs(y - r) <= last - l
+            y, code = y[keep], np.concatenate((code, code + digit[level], code))[keep]
+            lo, hi, n = (np.tile(col, 3)[keep] for col in (lo, hi, n))
+            n, level, lo, hi, code = _merge(n, y, np.minimum(lo, y), np.maximum(hi, y), code)
         if c:
-            for (level, flats, lo, hi), n in states.items():
-                if level == 0:
-                    key = (flats, lo, hi)
-                    raw[key] = raw.get(key, 0) + c * n
-    depths: dict[tuple[tuple[int, int], ...], tuple[Counter, Counter]] = {}
-    for (levels, lo, hi), n in raw.items():
-        base, top = (levels[0], levels[-1]) if levels else (0, 0)
-        key = tuple((h - base, c) for h, c in Counter(levels).items())
-        below, above = depths.setdefault(key, (Counter(), Counter()))
-        below[base - lo] += n
-        above[hi - top] += n
+            closed = level == r
+            flats = (code[closed, None] // digit) % base > 0
+            any_flat = flats.any(axis=1)
+            low = np.where(any_flat, flats.argmax(axis=1), r)
+            top = np.where(any_flat, 2 * r - flats[:, ::-1].argmax(axis=1), r)
+            cells = _merge(n[closed], code[closed] // digit[low], low - lo[closed], hi[closed] - top)
+            for m, key, d_lo, d_hi in zip(*(col.tolist() for col in cells)):
+                below, above = depths[key]
+                below[d_lo] += c * m
+                above[d_hi] += c * m
     return {
-        key: ProfileWindows(sum(below.values()),
-                            tuple(below[d] for d in range(max(below) + 1)),
-                            tuple(above[d] for d in range(max(above) + 1)))
+        _decode_flats(key, base): ProfileWindows(sum(below.values()),
+                                                 tuple(below[d] for d in range(max(below) + 1)),
+                                                 tuple(above[d] for d in range(max(above) + 1)))
         for key, (below, above) in depths.items()
     }
 

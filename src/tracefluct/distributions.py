@@ -43,6 +43,7 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.bound <= 0:
             raise ValueError("the bound on |X| must be positive")
+        object.__setattr__(self, "_moments", {})  # E[X^m] by order m, filled on first use
         m1 = self.moment(1)
         if m1 != 0:
             raise ValueError(f"law must be centered, got mean {m1}")
@@ -52,7 +53,12 @@ class DistributionSpec:
     # -- moments ----------------------------------------------------------
 
     def moment(self, m: int) -> Number:
-        """E[X^m]; exact Fraction where the law allows it."""
+        """E[X^m]; exact Fraction where the law allows it, computed once per law and order."""
+        if m not in self._moments:
+            self._moments[m] = self._moment(m)
+        return self._moments[m]
+
+    def _moment(self, m: int) -> Number:
         if m < 0:
             raise ValueError("moment order must be >= 0")
         if m == 0:

@@ -1,6 +1,7 @@
 """Path enumeration and profile counting against brute-force oracles."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -13,6 +14,8 @@ from tracefluct.combinatorics import (
     UP,
     LatticePath,
     MultiIndex,
+    ProfileWindows,
+    _profile_table,
     closed_path_count,
     enumerate_closed_paths,
     flat_profile,
@@ -40,6 +43,42 @@ def brute_force_profile_counts(k):
     for p in brute_force_closed_paths(k):
         counts[p.flat_profile()] += 1
     return dict(counts)
+
+
+def dict_profile_table(coeffs):
+    """Oracle for ``_profile_table``: the same step DP, one Python dict entry per state."""
+    last = len(coeffs) - 1
+    raw: dict[tuple[tuple[int, ...], int, int], int] = {}
+    states = {(0, (), 0, 0): 1}
+    for l, c in enumerate(coeffs):
+        if l:
+            reach = last - l
+            step: dict[tuple[int, tuple[int, ...], int, int], int] = {}
+            for (level, flats, lo, hi), n in states.items():
+                for y in (level - 1, level, level + 1):
+                    if abs(y) <= reach:
+                        ys = tuple(sorted(flats + (y,))) if y == level else flats
+                        key = (y, ys, min(lo, y), max(hi, y))
+                        step[key] = step.get(key, 0) + n
+            states = step
+        if c:
+            for (level, flats, lo, hi), n in states.items():
+                if level == 0:
+                    key = (flats, lo, hi)
+                    raw[key] = raw.get(key, 0) + c * n
+    depths: dict[tuple[tuple[int, int], ...], tuple[Counter, Counter]] = {}
+    for (levels, lo, hi), n in raw.items():
+        base, top = (levels[0], levels[-1]) if levels else (0, 0)
+        key = tuple((h - base, c) for h, c in Counter(levels).items())
+        below, above = depths.setdefault(key, (Counter(), Counter()))
+        below[base - lo] += n
+        above[hi - top] += n
+    return {
+        key: ProfileWindows(sum(below.values()),
+                            tuple(below[d] for d in range(max(below) + 1)),
+                            tuple(above[d] for d in range(max(above) + 1)))
+        for key, (below, above) in depths.items()
+    }
 
 
 # ---------------------------------------------------------------- MultiIndex
@@ -168,6 +207,44 @@ def test_profile_windows_match_brute_force(k):
         assert w.above == tuple(above[beta, d] for d in range(len(w.above)))
         assert w.below[-1] and w.above[-1]
     assert sum(below.values()) == sum(above.values()) == closed_path_count(k)
+
+
+DEG12_ROW = (0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+INTEGER_ROWS = [(0,) * k + (1,) for k in range(15)] + [
+    DEG12_ROW,
+    (3, -2, 0, 10**30, -7, 0, 5),
+    (0, 0, -1, 0, 0, 0, 1),
+    (10**30, 10**30, -(10**30)),
+]
+
+
+@pytest.mark.parametrize("row", INTEGER_ROWS, ids=str)
+def test_profile_table_matches_dict_dp_on_integer_rows(row):
+    table = _profile_table(row)
+    assert table == dict_profile_table(row)
+    for w in table.values():
+        assert all(type(v) is int for v in (w.count, *w.below, *w.above))
+
+
+@pytest.mark.parametrize("row", [(0.5, 1, 1, -2, 2), (1e300, 0, 1)], ids=str)
+def test_profile_table_matches_dict_dp_on_float_rows(row):
+    table, want = _profile_table(row), dict_profile_table(row)
+    assert table.keys() == want.keys()
+    for pairs, w in want.items():
+        got = table[pairs]
+        assert len(got.below) == len(w.below) and len(got.above) == len(w.above)
+        for a, b in zip((got.count, *got.below, *got.above), (w.count, *w.below, *w.above)):
+            assert math.isclose(a, b, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("row", [(), (0, 0, 0)], ids=str)
+def test_profile_table_of_a_zero_row_is_empty(row):
+    assert _profile_table(row) == dict_profile_table(row) == {}
+
+
+def test_profile_table_refuses_past_the_cap():
+    with pytest.raises(ValueError, match="cap of 14"):
+        _profile_table((0,) * 15 + (1,))
 
 
 def test_profile_count_examples():

@@ -1,5 +1,7 @@
 """Moment bookkeeping and sampling for the site-variable laws."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +55,20 @@ def test_two_point_moments():
 def test_uncentered_rejected():
     with pytest.raises(ValueError, match="centered"):
         two_point(1, -2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("law", [rademacher(), uniform_sqrt3(), uniform_symmetric(2.0),
+                                 two_point(2, Fraction(-1, 2), Fraction(1, 5))], ids=lambda d: d.name)
+def test_moments_are_computed_once_per_order(law):
+    first = [law.moment(m) for m in range(13)]
+    assert all(law.moment(m) is v for m, v in enumerate(first))
+    for m, v in enumerate(first):
+        uncached = law._moment(m)
+        assert v == uncached and type(v) is type(uncached)
+    # the cache is not part of the law: equality, hashing and pickling ignore it
+    fresh = dataclasses.replace(law)
+    assert fresh == law and hash(fresh) == hash(law)
+    assert pickle.loads(pickle.dumps(law)).moment(4) == first[4]
 
 
 def test_moment_product():
