@@ -5,7 +5,7 @@ two-point laws.  Moments are kept as :class:`fractions.Fraction`
 whenever the law allows it (Rademacher, uniform with an
 exactly-rational squared half-width, rational two-point laws), so that
 downstream coefficient sums can be evaluated without rounding.
-Sampling consumes exactly one uniform variate per site, which keeps
+Sampling consumes exactly one 64-bit word per site, which keeps
 sampled sequences prefix-stable.
 """
 
@@ -90,26 +90,32 @@ class DistributionSpec:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_xs(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. variates, consuming one uniform per index, transformed in place."""
-        x = rng.random(n)
+    def sample_xs(self, rng: np.random.Generator, out: np.ndarray, scale: np.ndarray) -> None:
+        """Write X_i / s_i into ``out``, where ``scale`` holds s_i (-1/s_i for the sign law).
+        With u = random(), X is +1 where u >= 0.5 (sign law), (2u - 1) bound (uniform), or v1
+        where u < p1 (two-point).  The sign law reads raw words instead: bit 63 is set exactly
+        where u = (word >> 11) 2^-53 >= 0.5, and it turns -1/s_i into +1/s_i.  That holds only
+        for bit generators whose double is (next64 >> 11) 2^-53, as Philox's and PCG64's are."""
         if self.kind == "rademacher":
-            x -= 0.5  # u = 0.5 gives +0.0, so the sign is + exactly where u >= 0.5
-            np.copysign(1.0, x, out=x)
-        elif self.kind == "uniform":
-            x *= 2.0
-            x -= 1.0
-            x *= self.bound
+            words = rng.bit_generator.random_raw(out.size)
+            words &= np.uint64(1 << 63)
+            np.bitwise_xor(words, scale.view(np.uint64), out=out.view(np.uint64))
+            return
+        rng.random(out=out)
+        if self.kind == "uniform":
+            out *= 2.0
+            out -= 1.0
+            out *= self.bound
         else:
             # v1 where u < p1, else v2: the sign of u - p1 picks an end of the
             # interval between the two values, with no mask array
             (v1, v2), (p1, _) = self.values, self.probs
-            x -= float(p1)
-            np.copysign(math.inf, x, out=x)
+            out -= float(p1)
+            np.copysign(math.inf, out, out=out)
             if v1 > v2:
-                np.negative(x, out=x)
-            np.clip(x, float(min(v1, v2)), float(max(v1, v2)), out=x)
-        return x
+                np.negative(out, out=out)
+            np.clip(out, float(min(v1, v2)), float(max(v1, v2)), out=out)
+        out /= scale
 
 
 def rademacher() -> DistributionSpec:

@@ -4,14 +4,14 @@ The operator on n = 1..N sites is symmetric tridiagonal with unit
 hopping and diagonal V(n) = X_n / n^alpha (free boundary: site 1 couples
 only to site 2).  Its spectrum lies in [-2-C_X, 2+C_X] when |X| <= C_X.
 
-Sampling is counter-based (Philox keyed by the seed, one uniform per
+Sampling is counter-based (Philox keyed by the seed, one 64-bit word per
 site), so the first N values of a sample are identical for every larger
 size drawn from the same seed.  That prefix stability is what lets one
 realisation be followed across a growing size grid.
 
 Traces of powers are read off banded powers H^1 .. H^ceil(k/2) that are
-built for a fixed number of rows at a time, so a replica needs
-O(N + _CHUNK * k) memory: its potential plus cache-sized band buffers.
+built for a fixed number of rows at a time, and a replica's sites are
+drawn chunk by chunk as well, so it needs O(_CHUNK * k) memory at any N.
 A low power's trace is the sum of its diagonal band, a high power's pairs
 two half powers, and no band whose entries are known is built: H^1 is
 the potential itself, and the top band of every power is all ones.
@@ -20,6 +20,7 @@ the potential itself, and the top band of every power is all ones.
 from __future__ import annotations
 
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +34,9 @@ _OVERFLOW_LIMIT = 1e300
 #: constant, so every machine and worker count sums in the same order.
 _CHUNK = 16384
 
+#: Sites up to which the scale n^alpha is cached whole, 8 MB of doubles.
+_SCALE_CACHE_SITES = 1 << 20
+
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Stable 64-bit stream seed for (base_seed, index)."""
@@ -45,16 +49,40 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
         raise ValueError("need at least one site")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    values = dist.sample_xs(rng, n_sites)
-    values /= _site_scale(n_sites, alpha)
-    return values
+    return _PotentialStream(n_sites, alpha, dist, seed, np.empty(n_sites))[0:n_sites]
+
+
+class _PotentialStream:
+    """One seed's potential V(1..size), sliced like an array, but only at windows [lo, hi)
+    that fit ``window`` and move forward (lo and hi never fall; lo is at most the last hi).
+    Sites shared with the last window move to its front, and the rest are drawn in place;
+    Philox is counter-based, so they are the doubles of one long draw."""
+
+    def __init__(self, size: int, alpha: float, dist: DistributionSpec, seed: int, window) -> None:
+        self.size, self.alpha, self.dist, self.window = size, alpha, dist, window
+        self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self.lo = self.hi = 0  # window[:hi - lo] holds sites [lo, hi)
+        self.sample_s = 0.0  # seconds spent in __getitem__
+
+    def __getitem__(self, sites: slice) -> np.ndarray:
+        t0 = time.perf_counter()
+        lo, hi, w, kept = sites.start, sites.stop, self.window, self.hi - sites.start
+        w[:kept] = w[lo - self.lo:self.hi - self.lo]
+        scale = (_site_scale(0, min(self.size, _SCALE_CACHE_SITES), self.alpha, self.dist)[self.hi:hi]
+                 if hi <= _SCALE_CACHE_SITES else _site_scale.__wrapped__(self.hi, hi, self.alpha, self.dist))
+        self.dist.sample_xs(self.rng, w[kept:hi - lo], scale)
+        self.lo, self.hi = lo, hi
+        self.sample_s += time.perf_counter() - t0
+        return w[:hi - lo]
 
 
 @lru_cache(maxsize=4)
-def _site_scale(n_sites: int, alpha: float) -> np.ndarray:
-    """Read-only n^alpha for n = 1..n_sites, shared by every replica of an ensemble."""
-    scale = np.arange(1, n_sites + 1, dtype=float) ** alpha
+def _site_scale(lo: int, hi: int, alpha: float, dist: DistributionSpec) -> np.ndarray:
+    """Read-only n^alpha, n = lo+1..hi, as ``dist.sample_xs`` takes it; cached whole up to
+    _SCALE_CACHE_SITES sites, past which each window computes its own slice uncached."""
+    scale = np.arange(lo + 1, hi + 1, dtype=float) ** alpha
+    if dist.kind == "rademacher":
+        np.divide(-1.0, scale, out=scale)
     scale.flags.writeable = False
     return scale
 
@@ -71,8 +99,8 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     about 3 top^2/2 array passes of band updates plus
     top + sum_{top < p <= k_max} ceil(p/2) reductions per site: 7 passes in
     all at k_max = 3, and 85 at k_max = 12.
-    The bands are built chunk by chunk, so memory is O(N + _CHUNK * k_max),
-    the input included.
+    The bands are built chunk by chunk, so beyond the input they take
+    O(_CHUNK * k_max) memory.
 
     The reductions are BLAS-free (``np.einsum``, never ``@`` or
     ``np.dot``): with threads unpinned, an OpenBLAS dot product of 1e5
@@ -107,11 +135,12 @@ def _band_buffer(k_max: int, n_sites: int) -> np.ndarray:
     return np.empty((2, top, min(n_sites, _CHUNK + 2 * top)))
 
 
-def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, ...]) -> np.ndarray:
+def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, ...],
+                powers: frozenset[int]) -> np.ndarray:
     """Per-power row terms of the free chain on sites w, summed over row ranges.
 
-    Row r of the result holds, for p = 1..k_max, the sum over rows
-    [cuts[r], cuts[r+1]) of the row terms of Tr H^p.  For p <= top =
+    Row r of the result holds, for p in ``powers`` (0 for the other p <= k_max),
+    the sum over rows [cuts[r], cuts[r+1]) of the row terms of Tr H^p.  For p <= top =
     ceil(k_max/2) the row term is (H^p)_ii; above it, it is row i of
     sum_d w_d <(H^a)_d, (H^b)_d> with a = ceil(p/2), b = floor(p/2).  The
     two split a trace among rows differently, but both sum to Tr H^p, and
@@ -157,8 +186,9 @@ def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, .
                 else:
                     row[1:] += prev[1, :m - 1]  # (H^(a-1))_{i,i-1} by symmetry
         for r, (start, stop) in enumerate(spans):
-            per_band[r, a, 0] = cur[0, start:stop].sum()
-            for p in range(max(2 * a - 1, top + 1), min(2 * a, k_max) + 1):
+            if a in powers:
+                per_band[r, a, 0] = cur[0, start:stop].sum()
+            for p in powers.intersection(range(max(2 * a - 1, top + 1), min(2 * a, k_max) + 1)):
                 b = p - a
                 low = cur if b == a else prev
                 np.einsum("ij,ij->i", cur[:b, start:stop], low[:b, start:stop],
@@ -171,14 +201,19 @@ def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, .
     return per_band[..., 0] + 2.0 * per_band[..., 1:].sum(axis=-1)
 
 
-def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...],
-                          bands: np.ndarray | None = None, bound: float | None = None) -> np.ndarray:
+def _prefix_trace_moments(v: np.ndarray | _PotentialStream, k_max: int, sizes: tuple[int, ...],
+                          bands: np.ndarray | None = None, bound: float | None = None,
+                          powers: set[int] | None = None) -> np.ndarray:
     """Trace moments of every prefix size in one pass: shape (len(sizes), k_max + 1).
 
+    ``v`` is the potential: an array, or a `_PotentialStream` (with ``bound``),
+    which draws each chunk's sites as the pass reaches them.
     ``sizes`` is strictly increasing and ends by ``v.size`` (else a ValueError); ``bands`` is
     an optional `_band_buffer` for ``v.size`` sites, reused between calls.
     ``bound`` is a known bound on |V| (a law's support), certified against
     overflow in place of a scan of ``v`` for its largest magnitude.
+    Only the traces of H^p for p in ``powers`` (default all) are formed; the
+    other columns p >= 1 are NaN.
 
     With rows counted from 0, the row terms of Tr H^p (see `_chain_sums`)
     depend only on the sites within top = ceil(k_max/2) of the row: the
@@ -202,24 +237,26 @@ def _prefix_trace_moments(v: np.ndarray, k_max: int, sizes: tuple[int, ...],
     top = (k_max + 1) // 2
     if bands is None:
         bands = _band_buffer(k_max, v.size)
+    powers = frozenset(range(1, k_max + 1) if powers is None else powers)
     running = np.zeros(k_max + 1)
     start = 0  # rows [0, start) of every later size are in running
     for row, n in zip(out, sizes):
         while n - start > _CHUNK + top:
             lo = max(start - top, 0)
             stop = start + _CHUNK
-            running += _chain_sums(v[lo:stop + top], k_max, bands, (start - lo, stop - lo))[0]
+            running += _chain_sums(v[lo:stop + top], k_max, bands, (start - lo, stop - lo), powers)[0]
             start = stop
         lo = max(start - top, 0)
         cut = max(start, n - top)
-        shared, own = _chain_sums(v[lo:n], k_max, bands, (start - lo, cut - lo, n - lo))
+        shared, own = _chain_sums(v[lo:n], k_max, bands, (start - lo, cut - lo, n - lo), powers)
         running += shared
         row[1:] = (running + own)[1:]
         start = cut
-    bad = ~(np.abs(out) <= _OVERFLOW_LIMIT)
+    bad = ~(np.abs(out) <= _OVERFLOW_LIMIT)  # a power left out is 0 here
     if bad.any():
         p = int(np.argmax(bad.any(axis=0)))
         raise OverflowError(f"Tr H^{p} exceeds {_OVERFLOW_LIMIT:g} or is not finite; aborting")
+    out[:, [p for p in range(1, k_max + 1) if p not in powers]] = np.nan
     return out
 
 

@@ -27,8 +27,8 @@ import numpy as np
 from .combinatorics import MultiIndex, _check_cap, _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
 from .expansion import _check_row, _fold, _power_sum_tail, _truncate
-from .hamiltonian import (_band_buffer, _check_power_bound, _prefix_trace_moments, derive_seed,
-                          sample_potential)
+from .hamiltonian import (_band_buffer, _check_power_bound, _PotentialStream, _prefix_trace_moments,
+                          derive_seed)
 from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
 
 #: Certified bound on the dropped part of the case A single-flat series.
@@ -104,8 +104,8 @@ class EnsembleResult:
     raw: np.ndarray       # shape (replicas, functions, grid sizes)
     centers: np.ndarray   # shape (functions, grid sizes)
     center_s: float       # wall time of the centering loop; never written to an artifact
-    sample_s: float       # sampling seconds, summed over replicas in the processes that ran them
-    trace_s: float        # trace kernel and Tr f seconds, summed the same way
+    sample_s: float       # seconds drawing potentials, summed over every chunk of every replica
+    trace_s: float        # the rest of the replica loop (trace kernel and Tr f), summed the same way
     degrees: tuple[int, ...]  # truncation degree K of each function
     tails: tuple[float, ...]  # certified bound on each function's dropped tail at the largest N
     site_sum_errors: tuple[float, ...]  # each function's largest site-sum error bound over the grid
@@ -145,22 +145,23 @@ def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple
     """Raw traces for a block of replicas, shape (len(seeds), n_functions, len(n_grid)),
     with the block's summed sampling and trace seconds."""
     k_max = max((len(row) - 1 for row in coeff_rows), default=0)
+    powers = {j for row in coeff_rows for j, c in enumerate(row) if c != 0.0}
     out = np.empty((len(seeds), len(coeff_rows), len(n_grid)))
     n_max = n_grid[-1]
     bands = _band_buffer(k_max, n_max)  # one scratch for every chunk of every replica
+    window = np.empty(bands.shape[-1])  # a chunk's sites with their halo, as long as a band row
     sample_s = trace_s = 0.0
     for r, seed in enumerate(seeds):
         t0 = time.perf_counter()
-        v = sample_potential(n_max, alpha, dist, seed)
-        t1 = time.perf_counter()
-        grid_moments = _prefix_trace_moments(v, k_max, n_grid, bands, dist.bound)
+        v = _PotentialStream(n_max, alpha, dist, seed, window)
+        grid_moments = _prefix_trace_moments(v, k_max, n_grid, bands, dist.bound, powers)
         for ni, moments in enumerate(grid_moments):
             for fi, row in enumerate(coeff_rows):
                 out[r, fi, ni] = math.fsum(
                     c * moments[j] for j, c in enumerate(row) if c != 0.0
                 )
-        sample_s += t1 - t0
-        trace_s += time.perf_counter() - t1
+        sample_s += v.sample_s
+        trace_s += time.perf_counter() - t0 - v.sample_s
     return out, sample_s, trace_s
 
 

@@ -179,7 +179,10 @@ class AnalyticSeries:
 
         def tail(k: int, x: float) -> float:
             q = x / rho
-            return m * q ** (k + 1) / (1.0 - q) if q < 1.0 else math.inf
+            if not 0.0 < q < 1.0 or m == 0.0:
+                return math.inf if q >= 1.0 else 0.0
+            # in log space, rounded up: q^(k+1) alone can underflow to 0.0 below the dropped terms
+            return math.nextafter(math.exp(math.log(m) + (k + 1) * math.log(q) - math.log1p(-q)), math.inf)
 
         return cls(label=label, radius=rho, case=case, coeff_fn=coeff_fn, tail_fn=tail)
 

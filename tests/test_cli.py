@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from tracefluct import acceptance, cli, montecarlo
+from tracefluct import acceptance, cli
 from tracefluct.acceptance import CriterionResult
 from tracefluct.cli import main, parse_beta, parse_dist, parse_function
 from tracefluct.combinatorics import MultiIndex
+from tracefluct.distributions import DistributionSpec
 
 
 def run_cli(argv, capsys):
@@ -286,7 +287,7 @@ def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, caps
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")
 
-    monkeypatch.setattr(montecarlo, "sample_potential", no_sampling)
+    monkeypatch.setattr(DistributionSpec, "sample_xs", no_sampling)
     code, _, err = run_cli(
         ["simulate", *argv, "--replicas", "20", "--seed", "1", "--out", str(tmp_path)], capsys)
     assert code == 2 and message in err
@@ -356,7 +357,7 @@ def test_bad_path_is_a_validation_error(argv, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the output directory was made")
 
-    monkeypatch.setattr(montecarlo, "sample_potential", no_sampling)
+    monkeypatch.setattr(DistributionSpec, "sample_xs", no_sampling)
     existing = tmp_path / "existing.txt"
     existing.write_text("")
     code, _, err = run_cli([a.format(dir=tmp_path, file=existing) for a in argv], capsys)

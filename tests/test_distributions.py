@@ -79,26 +79,72 @@ def test_moment_product():
     assert d.moment_product(beta_odd) == 0
 
 
+def random_sample_xs(law, rng, n):
+    """Oracle: X_1..X_n from one random() double per index, by the plain transforms."""
+    x = rng.random(n)
+    if law.kind == "rademacher":
+        x -= 0.5  # u = 0.5 gives +0.0, so the sign is + exactly where u >= 0.5
+        np.copysign(1.0, x, out=x)
+    elif law.kind == "uniform":
+        x *= 2.0
+        x -= 1.0
+        x *= law.bound
+    else:
+        (v1, v2), (p1, _) = law.values, law.probs
+        x = np.where(x < float(p1), float(v1), float(v2))
+    return x
+
+
+def sampler_scale(law, scale):
+    """The scale as `sample_xs` takes it: s, or -1/s for the sign law."""
+    return -1.0 / scale if law.kind == "rademacher" else scale
+
+
+def draw(law, rng, n):
+    """X_1..X_n from the sampler, at unit site scale."""
+    out = np.empty(n)
+    law.sample_xs(rng, out, sampler_scale(law, np.ones(n)))
+    return out
+
+
 def test_sampling_support_and_moments():
     rng = np.random.default_rng(123)
-    xs = rademacher().sample_xs(rng, 10_000)
+    xs = draw(rademacher(), rng, 10_000)
     assert set(np.unique(xs)) == {-1.0, 1.0}
 
     d = uniform_symmetric(np.sqrt(3.0))
-    xs = d.sample_xs(np.random.default_rng(7), 1_000_000)
+    xs = draw(d, np.random.default_rng(7), 1_000_000)
     assert np.all(np.abs(xs) <= d.bound + 1e-12)
     assert abs(xs.mean()) < 0.005
     assert abs(np.mean(xs**2) - 1.0) < 0.01
 
 
 def test_rademacher_sampling_matches_threshold_form():
-    xs = rademacher().sample_xs(np.random.default_rng(2024), 100_001)
+    xs = draw(rademacher(), np.random.default_rng(2024), 100_001)
     u = np.random.default_rng(2024).random(100_001)
     assert np.array_equal(xs, np.where(u < 0.5, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("law", [
+    rademacher(), uniform_sqrt3(), two_point(2, Fraction(-1, 2), Fraction(1, 5)),
+], ids=["rademacher", "uniform-sqrt3", "two-point"])
+def test_sampler_matches_random_oracle(law, bit_generator):
+    # the sign law reads raw words, whose bit 63 is u >= 0.5 for (next64 >> 11) 2^-53 doubles;
+    # draws split at any point continue one stream, and the scale divides each X exactly
+    n = 20_001
+    scale = np.arange(1, n + 1, dtype=float) ** 0.3
+    for seed in range(20):
+        xs = random_sample_xs(law, np.random.Generator(bit_generator(seed)), n)
+        rng = np.random.Generator(bit_generator(seed))
+        out = np.empty(n)
+        for lo, hi in ((0, 1), (1, 7), (7, 16_391), (16_391, n)):
+            law.sample_xs(rng, out[lo:hi], sampler_scale(law, scale[lo:hi]))
+        assert np.array_equal(out, xs / scale), seed
+
+
 def test_two_point_sampling_frequencies():
     d = two_point(2, Fraction(-1, 2), Fraction(1, 5))
-    xs = d.sample_xs(np.random.default_rng(11), 200_000)
+    xs = draw(d, np.random.default_rng(11), 200_000)
     assert set(np.unique(xs)) == {-0.5, 2.0}
     assert abs(np.mean(xs == 2.0) - 0.2) < 0.005

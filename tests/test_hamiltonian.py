@@ -9,7 +9,12 @@ import pytest
 from tracefluct import hamiltonian
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3, uniform_symmetric
 from tracefluct.hamiltonian import (
+    _CHUNK,
+    _PotentialStream,
+    _band_buffer,
+    _chain_sums,
     _prefix_trace_moments,
+    _site_scale,
     derive_seed,
     eigenvalues,
     sample_potential,
@@ -75,9 +80,25 @@ def test_sampling_matches_reference_forms(dist):
             (v1, v2), (p1, _) = dist.values, dist.probs
             xs = np.where(u < float(p1), float(v1), float(v2))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        assert np.array_equal(dist.sample_xs(rng, n), xs)
+        out = np.empty(n)
+        dist.sample_xs(rng, out, np.full(n, -1.0 if dist.kind == "rademacher" else 1.0))
+        assert np.array_equal(out, xs)
         values = xs / np.arange(1, n + 1, dtype=float) ** alpha
         assert np.array_equal(sample_potential(n, alpha, dist, seed), values)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rademacher", "uniform"])
+def test_scale_past_the_cache_matches_the_cached_array(dist, alpha, monkeypatch):
+    # past the cache each window computes its own slice of n^alpha: the same doubles
+    n = 3 * _CHUNK + 11
+    whole = _site_scale(0, n, alpha, dist)
+    for lo, hi in ((0, 1000), (990, 1001), (1001, 17_400), (_CHUNK - 3, 2 * _CHUNK + 5), (n - 7, n)):
+        assert np.array_equal(_site_scale.__wrapped__(lo, hi, alpha, dist), whole[lo:hi]), (lo, hi)
+    sizes = (5, _CHUNK + 3, n)
+    cached = stream_traces(n, alpha, dist, 4, 12, sizes)
+    monkeypatch.setattr(hamiltonian, "_SCALE_CACHE_SITES", 1000)
+    assert np.array_equal(stream_traces(n, alpha, dist, 4, 12, sizes), cached)
 
 
 def test_sample_validation():
@@ -212,6 +233,49 @@ def test_free_chain_traces_are_exact(chunk, monkeypatch):
                     assert row.tolist() == exact[n][:k + 1], (k, sizes, n)
 
 
+def stream_traces(n_max, alpha, dist, seed, k, sizes, powers=None):
+    """A replica's grid traces, its potential drawn chunk by chunk as the pass reaches it."""
+    bands = _band_buffer(k, n_max)
+    v = _PotentialStream(n_max, alpha, dist, seed, np.empty(bands.shape[-1]))
+    return _prefix_trace_moments(v, k, sizes, bands, dist.bound, powers)
+
+
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3(), two_point(2, Fraction(-1, 2),
+                                                                          Fraction(1, 5))],
+                         ids=["rademacher", "uniform", "two-point"])
+@pytest.mark.parametrize("k", [1, 3, 12, 14])
+def test_streamed_traces_match_the_whole_potential(dist, k):
+    # the same doubles in the same chunks: bit-identical to the pass over the drawn array
+    top = (k + 1) // 2
+    grids = [(_CHUNK - top,), (_CHUNK + top,), (3 * _CHUNK + 5,),
+             (_CHUNK - top, _CHUNK + top, 3 * _CHUNK + 5), (5, _CHUNK, 2 * _CHUNK + top + 1)]
+    for seed, sizes in enumerate(grids):
+        whole = sample_potential(sizes[-1], 0.3, dist, seed)
+        streamed = stream_traces(sizes[-1], 0.3, dist, seed, k, sizes)
+        assert np.array_equal(streamed, _prefix_trace_moments(whole, k, sizes)), sizes
+        if len(sizes) == 1:
+            assert np.array_equal(streamed[0], trace_moments(whole, k)), sizes
+
+
+@pytest.mark.parametrize("chunk, n", [(3, 40), (7, 40), (_CHUNK, 2 * _CHUNK + 9)])
+def test_masked_powers_match_the_full_kernel(chunk, n, monkeypatch):
+    # a power left out is NaN; every power asked for is the very double of the full kernel
+    monkeypatch.setattr(hamiltonian, "_CHUNK", chunk)
+    v = sample_potential(n, 0.3, uniform_sqrt3(), seed=8)
+    sizes = (2, 9, n // 2 + 1, n)
+    rng = np.random.default_rng(chunk)
+    for k in range(1, 15):
+        full = _prefix_trace_moments(v, k, sizes)
+        for powers in ({k}, {1}, set(range(2, k + 1, 2)), set(rng.choice(k + 1, 3).tolist())):
+            got = _prefix_trace_moments(v, k, sizes, powers=powers)
+            asked = sorted(powers | {0})
+            assert np.array_equal(got[:, asked], full[:, asked]), (k, powers)
+            assert np.isnan(np.delete(got, asked, axis=1)).all(), (k, powers)
+    # and the chain sums make no sum of a power left out
+    sums = _chain_sums(v[:40], 14, np.empty((2, 7, 40)), (0, 20, 40), frozenset({2, 9}))
+    assert not np.delete(sums, [2, 9], axis=1).any() and sums[:, [2, 9]].all()
+
+
 def test_law_bound_certifies_before_band_work(monkeypatch):
     def no_band_work(*args, **kwargs):
         raise AssertionError("built bands for an uncertified bound")
@@ -251,6 +315,18 @@ def test_kernel_memory_is_flat_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 4e6  # 2 * 7 whole-chain bands of 1e6 doubles would take 112 MB
+
+
+def test_replica_memory_is_flat_in_n(monkeypatch):
+    # no length-N array: a window of sites, its band buffers and the capped scale cache
+    monkeypatch.setattr(hamiltonian, "_SCALE_CACHE_SITES", _CHUNK)
+    tracemalloc.start()
+    try:
+        stream_traces(10**6, 0.3, uniform_sqrt3(), 5, 12, (10**5, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # the potential alone would take 8 MB
 
 
 def test_trace_moments_vs_eigenvalues_n500():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracefluct.series import (
@@ -168,6 +168,7 @@ def test_zigzag_tail_dominates_the_dropped_terms():
     share=st.floats(-0.75, 0.75),
     k=st.integers(0, 40),
 )
+@example(units=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], m=3.0, rho=2.0, share=1e-12, k=26)  # a subnormal tail
 def test_cauchy_tail_dominates_random_coefficients(units, m, rho, share, k):
     # c_j = m u_(j mod L) rho^-j with |u| <= 1: zeros, zigzags and sign flips all obey the estimate
     def coeff(j):
