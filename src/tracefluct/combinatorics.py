@@ -16,7 +16,7 @@ integer.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -28,11 +28,12 @@ FLAT = 0
 DOWN = -1
 
 #: Hard ceiling on the path length of enumeration and profile tables.  The
-#: profile step DP takes about 0.03 s at k = 14; the oracle enumeration
-#: yields every one of the ~616k closed 14-paths.  Larger powers are served
-#: by closed forms only; the assert keeps _profile_table's int64 flat codes exact.
+#: profile step DP takes about 0.015 s at k = 14; the oracle enumeration
+#: yields every one of the ~616k closed 14-paths.  Larger powers are served by closed
+#: forms only; the asserts keep _profile_table's int64 codes and int16 shapes exact.
 DEFAULT_ENUMERATION_CAP = 14
 assert (DEFAULT_ENUMERATION_CAP + 1) ** (DEFAULT_ENUMERATION_CAP + 1) < 2**63
+assert (2 * (DEFAULT_ENUMERATION_CAP // 2) + 1) ** 3 < 2**15
 
 _STEP_CHARS = {UP: "U", FLAT: "F", DOWN: "D"}
 
@@ -246,22 +247,11 @@ def _row_key(coeffs) -> tuple:
 
 
 def _merge(n, *cols):
-    """Sum the weights ``n`` over equal rows of the int64 ``cols``: (weights, *cols) of the distinct rows."""
+    """Sum the weights ``n`` over equal rows of the int ``cols``: (weights, *cols) of the distinct rows."""
     order = np.lexsort(cols)
-    cols = np.stack(cols)[:, order]
-    start = np.flatnonzero(np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)])
-    return (np.add.reduceat(n[order], start), *cols[:, start])
-
-
-def _decode_flats(code: int, base: int) -> tuple[tuple[int, int], ...]:
-    """The (offset, count) pairs of a flat-multiset code, one base-``base`` digit per level."""
-    pairs, h = [], 0
-    while code:
-        code, count = divmod(code, base)
-        if count:
-            pairs.append((h, count))
-        h += 1
-    return tuple(pairs)
+    cols = [col[order] for col in cols]
+    start = np.flatnonzero(np.concatenate(([True], np.any([c[1:] != c[:-1] for c in cols], axis=0))))
+    return (np.add.reduceat(n[order], start), *(col[start] for col in cols))
 
 
 @lru_cache(maxsize=None)
@@ -269,47 +259,55 @@ def _profile_table(coeffs: tuple) -> dict[tuple[tuple[int, int], ...], ProfileWi
     """The closed paths of every length l <= K, weighted by c_l, grouped by canonical profile.
 
     One forward step DP, pruned to the levels that can still return to the
-    origin by length K; each step is a few numpy passes over all states.  A
-    state is four int64 columns: its level, lowest and highest level, each
-    shifted by r = K // 2, and its flat multiset coded as sum_y c_y (K+1)^(y+r).
-    No digit exceeds K, so every code is below (K+1)^(K+1) < 2^63 up to the
-    cap, and no path count exceeds 3^K.  At each l with c_l != 0 the closed
-    states merge into (canonical code, depth below, depth above) cells, a few
-    hundred, and only these reach Python, which adds c_l times their count:
-    an integer row stays exact in Python ints of any size.  Clipping on a
-    chain depends on a placed path's profile and depths, not its length, so
-    the histograms of different lengths add.  Keys are profile pairs.
+    origin by length K; each step is a few numpy passes over all states.  With
+    r = K // 2 and W = 2r + 1, a state sorts on two keys: its int16 shape
+    (level W + lowest) W + highest, levels shifted by r, and its int64 flat
+    multiset code sum_y c_y (K+1)^(y+r).  Up to the cap W^3 < 2^15, every code
+    is below (K+1)^(K+1) < 2^63 as no digit exceeds K; no path count exceeds 3^K.
+    At each l with c_l != 0 the closed states merge into cells (canonical code,
+    depth below W + depth above) of weight c_l times their count, an object
+    column: an integer row stays exact in Python ints, a float row float.  A
+    path's clipping on a chain depends on its profile and depths, not its
+    length, so at the end the cells of all lengths add into depth histograms,
+    each as long as its deepest cell even where the weights there cancel.
+    Keys are profile pairs.
     """
     last = len(coeffs) - 1
     _check_cap(last)
     r, base = max(last, 0) // 2, last + 1
-    digit = base ** np.arange(2 * r + 1, dtype=np.int64)
-    level, lo, hi, code, n = np.array([[r], [r], [r], [0], [1]], dtype=np.int64)
-    depths: defaultdict[int, tuple[Counter, Counter]] = defaultdict(lambda: (Counter(), Counter()))
+    w, cells = 2 * r + 1, []
+    digit = base ** np.arange(w, dtype=np.int64)
+    level, (code, n) = np.array([r], dtype=np.int16), np.array([[0], [1]], dtype=np.int64)
+    shape = (level * w + r) * w + r
     for l, c in enumerate(coeffs):
         if l:
             y = np.concatenate((level - 1, level, level + 1))
             keep = np.abs(y - r) <= last - l
             y, code = y[keep], np.concatenate((code, code + digit[level], code))[keep]
-            lo, hi, n = (np.tile(col, 3)[keep] for col in (lo, hi, n))
-            n, level, lo, hi, code = _merge(n, y, np.minimum(lo, y), np.maximum(hi, y), code)
+            lo, hi, n = (np.tile(col, 3)[keep] for col in (shape // w % w, shape % w, n))
+            n, shape, code = _merge(n, (y * w + np.minimum(lo, y)) * w + np.maximum(hi, y), code)
+            level = shape // (w * w)
         if c:
             closed = level == r
-            flats = (code[closed, None] // digit) % base > 0
-            any_flat = flats.any(axis=1)
-            low = np.where(any_flat, flats.argmax(axis=1), r)
-            top = np.where(any_flat, 2 * r - flats[:, ::-1].argmax(axis=1), r)
-            cells = _merge(n[closed], code[closed] // digit[low], low - lo[closed], hi[closed] - top)
-            for m, key, d_lo, d_hi in zip(*(col.tolist() for col in cells)):
-                below, above = depths[key]
-                below[d_lo] += c * m
-                above[d_hi] += c * m
-    return {
-        _decode_flats(key, base): ProfileWindows(sum(below.values()),
-                                                 tuple(below[d] for d in range(max(below) + 1)),
-                                                 tuple(above[d] for d in range(max(above) + 1)))
-        for key, (below, above) in depths.items()
-    }
+            s, flats = shape[closed], code[closed]
+            # the lowest flat is at the code's count of trailing zero digits, the highest at its top digit
+            low = np.where(flats > 0, (flats[:, None] % digit == 0).sum(axis=1) - 1, r)
+            top = np.where(flats > 0, (flats[:, None] >= digit).sum(axis=1) - 1, r)
+            depth = (low - s // w % w) * w + s % w - top  # below W + above
+            m, key, depth = _merge(n[closed], flats // digit[low], depth)
+            cells.append((m.astype(object) * c, key, depth))
+    if not cells:
+        return {}
+    m, key, depth = (np.concatenate(col) for col in zip(*cells))
+    keys, row = np.unique(key, return_inverse=True)
+    hist, size = np.zeros((2, len(keys), w), dtype=object), np.zeros((2, len(keys)), dtype=np.int64)
+    for side, d in enumerate((depth // w, depth % w)):  # below, above
+        np.add.at(hist[side], (row, d), m)
+        np.maximum.at(size[side], row, d)
+    counts = (keys[:, None] // digit % base).tolist()  # each profile's flats at offsets 0..2r
+    return {tuple((h, f) for h, f in enumerate(fs) if f):
+            ProfileWindows(sum(b), tuple(b[:nb + 1]), tuple(a[:na + 1]))
+            for fs, b, a, nb, na in zip(counts, *hist.tolist(), *size.tolist())}
 
 
 def profile_counts(k: int) -> dict[MultiIndex, int]:

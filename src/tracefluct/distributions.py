@@ -80,8 +80,12 @@ class DistributionSpec:
 
     def moment_product(self, beta: MultiIndex) -> Number:
         """E[X^beta] = product over levels of E[X^count]; independence across sites."""
+        return self.counts_moment(c for _, c in beta.pairs)
+
+    def counts_moment(self, counts) -> Number:
+        """The product of E[X^c] over ``counts``, taken in order; Fraction(0) if one vanishes."""
         out: Number = Fraction(1)
-        for _, c in beta.pairs:
+        for c in counts:
             m = self.moment(c)
             if m == 0:
                 return Fraction(0)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,14 +175,14 @@ def _placement(spread, alpha: float, n: int) -> tuple[float, float, float]:
 
 
 def _moment_profiles(table, dist: DistributionSpec) -> list:
-    """(beta, windows, E[V^beta]) for each profile of ``table`` with flats and a nonzero moment."""
-    out = []
+    """(beta, windows, E[V^beta]) for each profile of ``table`` with flats and a nonzero moment.
+    E[V^beta] is taken once per sequence of level counts, and beta built only where it is nonzero."""
+    out, moment = [], lru_cache(maxsize=None)(dist.counts_moment)
     for pairs, win in table.items():
         if pairs:
-            beta = MultiIndex(pairs)
-            ex = dist.moment_product(beta)
-            if ex != 0:
-                out.append((beta, win, ex))
+            ex = moment(tuple(c for _, c in pairs))
+            if ex:
+                out.append((MultiIndex(pairs), win, ex))
     return out
 
 

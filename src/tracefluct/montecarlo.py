@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -233,10 +232,12 @@ def _lag_covariance_sum(beta: MultiIndex, beta2: MultiIndex, dist: DistributionS
     the placements share a site count, and the sum is exact for a law with rational moments."""
     mean = dist.moment_product(beta) * dist.moment_product(beta2)
     total = 0
+    first = dict(beta.pairs)
     for lag in range(-beta2.span, beta.span + 1):
-        merged = Counter(dict(beta.pairs)) + Counter({h + lag: c for h, c in beta2.pairs})
-        if len(merged) < len(beta.pairs) + len(beta2.pairs):
-            total += dist.moment_product(MultiIndex.from_counts(merged)) - mean
+        second = {h + lag: c for h, c in beta2.pairs}
+        if not first.keys().isdisjoint(second):
+            levels = sorted(first.keys() | second.keys())
+            total += dist.counts_moment(first.get(h, 0) + second.get(h, 0) for h in levels) - mean
     return total
 
 

@@ -210,11 +210,16 @@ def test_profile_windows_match_brute_force(k):
 
 
 DEG12_ROW = (0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+# 3 (UD + DU) minus the six flat-free 4-paths: the flat-free depth 1 and count cancel to 0
+CANCEL_ROW = (0, 0, 3, 0, -1)
 INTEGER_ROWS = [(0,) * k + (1,) for k in range(15)] + [
     DEG12_ROW,
     (3, -2, 0, 10**30, -7, 0, 5),
     (0, 0, -1, 0, 0, 0, 1),
     (10**30, 10**30, -(10**30)),
+    (1,) * 15,
+    (2, -1, 0, 3, -5, 0, 1, 0, -2, 7, 0, -1, 4, -3),
+    CANCEL_ROW,
 ]
 
 
@@ -224,6 +229,10 @@ def test_profile_table_matches_dict_dp_on_integer_rows(row):
     assert table == dict_profile_table(row)
     for w in table.values():
         assert all(type(v) is int for v in (w.count, *w.below, *w.above))
+
+
+def test_profile_table_keeps_a_cancelled_depth():
+    assert _profile_table(CANCEL_ROW)[()] == ProfileWindows(0, (1, 0, -1), (1, 0, -1))
 
 
 @pytest.mark.parametrize("row", [(0.5, 1, 1, -2, 2), (1e300, 0, 1)], ids=str)

@@ -77,6 +77,9 @@ def test_moment_product():
     assert d.moment_product(beta) == 1  # E[X^2]^2
     beta_odd = MultiIndex.from_counts({0: 1, 1: 2})
     assert d.moment_product(beta_odd) == 0
+    # the same products from bare count sequences, in any order
+    assert d.counts_moment((2, 4)) == d.counts_moment((4, 2)) == Fraction(9, 5)
+    assert d.counts_moment((2, 1)) == 0 and d.counts_moment(()) == 1
 
 
 def random_sample_xs(law, rng, n):

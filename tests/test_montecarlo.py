@@ -21,6 +21,7 @@ from tracefluct.combinatorics import (
     single_flat_count,
 )
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
+from tracefluct.expansion import series_expansion
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
     EnsembleConfig,
@@ -236,10 +237,16 @@ def test_case_b_matches_brute_force():
 DEG12 = AnalyticSeries.polynomial([0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
 
 
-@pytest.mark.parametrize(("dist", "want"), [(uniform_sqrt3(), 128882991.2),
-                                            (rademacher(), 80994056.0)], ids=["uni", "rad"])
-def test_case_b_deg12_pinned(dist, want):
-    assert sigma_sq_for(DEG12, dist) == pytest.approx(want, rel=1e-15)
+@pytest.mark.parametrize(("dist", "fold", "sigma_sq"), [
+    (uniform_sqrt3(), (141053231.80054912, 45713.44045026651, 1.5090603803752641e-23), 128882991.2),
+    (rademacher(), (140849799.5717614, 5729.135514311278, 1.4970064763364854e-23), 80994056.0),
+], ids=["uni", "rad"])
+def test_case_b_deg12_pinned(dist, fold, sigma_sq):
+    # an integer row under a rational law sums exactly or through math.fsum,
+    # so no order of the profile table's keys may move a bit of these
+    report = series_expansion(DEG12, 100_000, 0.2, dist)
+    assert (report.reconstructed_mean, report.remainder_limit, report.site_sum_error) == fold
+    assert sigma_sq_for(DEG12, dist) == sigma_sq
 
 
 def test_ensemble_and_variance_walk_the_row_once():
