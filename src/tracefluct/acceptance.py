@@ -65,6 +65,7 @@ def _sqrt3_weighted_leq(lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
 
 #: Relative tolerance of the mean identity against the symbolic oracle.
 MEAN_IDENTITY_TOL = 1e-9
+FULL_IDENTITY_GRID = (8, (30, 40), (0.2, 0.35, 0.5, 0.8))  # k_max, N grid, alphas of the full sweep
 
 
 # ----------------------------------------------------------------- criteria
@@ -153,8 +154,7 @@ def mean_identity_sweep(k_max: int, n_grid: tuple[int, ...], alphas: tuple[float
 
 
 def _criterion_4() -> CriterionResult:
-    *worst_at, worst = max(mean_identity_sweep(8, (30, 40), (0.2, 0.35, 0.5, 0.8)),
-                           key=lambda row: row[-1])
+    *worst_at, worst = max(mean_identity_sweep(*FULL_IDENTITY_GRID), key=lambda row: row[-1])
     return CriterionResult(
         4, "mean decomposition identity",
         worst <= MEAN_IDENTITY_TOL,

@@ -18,7 +18,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .acceptance import MEAN_IDENTITY_TOL, mean_identity_sweep, run_criteria
+from .acceptance import FULL_IDENTITY_GRID, MEAN_IDENTITY_TOL, mean_identity_sweep, run_criteria
 from .combinatorics import MultiIndex, profile_count, profile_counts
 from .distributions import DistributionSpec, rademacher, uniform_sqrt3, uniform_symmetric
 from .expansion import power_expansion, series_expansion
@@ -169,7 +169,7 @@ def cmd_trace_poly(args) -> int:
 def _verify_checks(level: str):
     k_max, n_grid, alphas = {
         "fast": (6, (20,), (0.35, 0.8)),
-        "full": (8, (30, 40), (0.2, 0.35, 0.5, 0.8)),
+        "full": FULL_IDENTITY_GRID,
     }[level]
     checks = []
     for k in range(1, k_max + 1):

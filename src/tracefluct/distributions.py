@@ -17,8 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import MultiIndex
-
 Number = Fraction | float
 
 
@@ -77,10 +75,6 @@ class DistributionSpec:
     @property
     def variance(self) -> Number:
         return self.moment(2)
-
-    def moment_product(self, beta: MultiIndex) -> Number:
-        """E[X^beta] = product over levels of E[X^count]; independence across sites."""
-        return self.counts_moment(c for _, c in beta.pairs)
 
     def counts_moment(self, counts) -> Number:
         """The product of E[X^c] over ``counts``, taken in order; Fraction(0) if one vanishes."""

@@ -20,10 +20,11 @@ a certified remainder.  Past the head each multi-site collapse defect
 prod_h (i+h)^(-alpha*c_h) - i^(-alpha*w) is its binomial series
 sum_m e_m i^(-alpha*w-m), cut after _BINOMIAL_TERMS orders with a
 certified bound, so the placement correction is a few power-sum tails
-too.  The edge windows touch O(K) sites at each end and are read
-directly.  The same tails taken to N = inf give the limit of the
-bounded remainder, and the summed remainder bounds give the report's
-``site_sum_error``.
+too.  The edge windows are the suffix sums of each profile's depth
+histograms against its placed weights, read on the head at the left edge
+and on the last K sites at the right.  The same tails taken to N = inf
+give the limit of the bounded remainder, and the summed remainder bounds
+give the report's ``site_sum_error``.
 
 One fold, ``_fold``, reads the decomposition of a coefficient row
 c_0..c_K off that row's one profile table in
@@ -43,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import (
-    MultiIndex,
     ProfileWindows,
     _check_cap,
     _profile_table,
@@ -119,98 +119,101 @@ def power_partial_sum(n: int, j: int, alpha: float) -> float:
     return float(_power_sums(np.array([j * alpha]), n)[0][0])
 
 
-def _placed_weight(beta: MultiIndex, sites: np.ndarray, alpha: float) -> np.ndarray:
-    """prod_h (i+h)^(-alpha*c_h) for each i in ``sites``: ``beta`` placed with lowest site i."""
-    w = np.ones(len(sites))
-    for h, c in beta.pairs:
-        w *= (sites + h) ** (-alpha * c)
+def _padded(rows, dtype=float) -> np.ndarray:
+    """``rows`` as one matrix, zero past the end of each."""
+    out = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=dtype)
+    for p, row in enumerate(rows):
+        out[p, :len(row)] = row
+    return out
+
+
+def _row_profiles(table, dist: DistributionSpec):
+    """(flats, terms, left, right): the profiles beta of ``table`` with flats and E[V^beta] != 0.
+
+    Row p is the p-th such profile in table order: ``flats[p, h]`` counts its
+    flat steps at level offset h, and ``terms[p]`` is its (path count,
+    E[V^beta]), exact where the row and the law are.  A closed K-path spans
+    at most K/2 levels, so for N > 2K none leaves the chain at both ends,
+    and each edge clips a placement by its own distance alone:
+    ``left[p, i-1]`` counts the paths clipped with the lowest flat at site
+    i, the suffix sum of the below histogram from depth i, and
+    ``right[p, j]`` those clipped at site N - j, the suffix sum of the above
+    histogram from depth max(j - span(beta) + 1, 0).  Both are zero past
+    the window, which the depths and spans size, never the row's length.
+    """
+    moment = lru_cache(maxsize=None)(dist.counts_moment)
+    profiles = [(pairs, win, ex) for pairs, win in table.items()
+                if pairs and (ex := moment(tuple(c for _, c in pairs)))]
+    counts, left, right = [], [], []
+    for pairs, win, _ in profiles:
+        span, above = pairs[-1][0], [sum(win.above[d:]) for d in range(len(win.above))]
+        counts.append([dict(pairs).get(h, 0) for h in range(span + 1)])
+        left.append([sum(win.below[d:]) for d in range(1, len(win.below))])
+        right.append(above[:1] * span + above[1:])
+    terms = [(win.count, ex) for _, win, ex in profiles]
+    return _padded(counts, np.int64), terms, _padded(left), _padded(right)
+
+
+def _placed_weights(flats: np.ndarray, sites: np.ndarray, alpha: float) -> np.ndarray:
+    """prod_h (i+h)^(-alpha*c_h) at (p, i): counts row c = ``flats[p]`` placed with lowest site i.
+
+    Each factor (i+h)^(-alpha*c) is taken once per count c and offset h,
+    and the factors multiply in level order.
+    """
+    shifted = sites + np.arange(flats.shape[1])[:, None]
+    powers = np.array([shifted ** (-alpha * c) for c in range(flats.max(initial=0) + 1)])
+    w = np.ones((len(flats), len(sites)))
+    for h, c in enumerate(flats.T):
+        w *= powers[c, h]
     return w
 
 
-def _defect_series(beta: MultiIndex, alpha: float) -> tuple[np.ndarray, float]:
+def _defect_series(counts: list[int], alpha: float) -> tuple[np.ndarray, float]:
     """(e_1..e_M, bound) for prod_h (1 + h/i)^(-alpha*c_h) = 1 + sum_m e_m i^(-m) at i > _HEAD.
 
-    The majorant prod_h (1 - h x)^(-alpha*c_h) has the coefficients |e_m|
-    dominated term by term and none negative, so at rho = 1/(span+1) they
-    are at most its value there times rho^-m.  Past M the series is then at
-    most ``bound`` * i^(-M-1) at every site i > _HEAD.
+    ``counts`` is a profile's counts row c_0, c_1, ...  The majorant
+    prod_h (1 - h x)^(-alpha*c_h) has the coefficients |e_m| dominated term
+    by term and none negative, so at rho = 1/(span+1) they are at most its
+    value there times rho^-m.  Past M the series is then at most ``bound``
+    * i^(-M-1) at every site i > _HEAD.
     """
+    pairs = [(h, c) for h, c in enumerate(counts) if c]
     e = np.zeros(_BINOMIAL_TERMS + 1)
     e[0] = 1.0
     orders = np.arange(_BINOMIAL_TERMS)
-    for h, c in beta.pairs:
+    for h, c in pairs:
         if h:
             a = alpha * c
             binomial = np.cumprod((-a - orders) / (orders + 1) * h)
             e = np.convolve(e, np.concatenate(([1.0], binomial)))[:_BINOMIAL_TERMS + 1]
-    r = beta.span + 1
-    majorant = math.prod((1 - h / r) ** (-alpha * c) for h, c in beta.pairs)
+    r = pairs[-1][0] + 1
+    majorant = math.prod((1 - h / r) ** (-alpha * c) for h, c in pairs)
     return e[1:], majorant * r ** (_BINOMIAL_TERMS + 1) / (1 - r / (_HEAD + 1))
 
 
-def _placement(spread, alpha: float, n: int) -> tuple[float, float, float]:
+def _placement(flats, scales, head, alpha: float, n: int) -> tuple[float, float, float]:
     """(placement correction at N = n, its N = inf limit, its certified error).
 
-    ``spread`` lists each multi-level profile beta with its count times
-    moment.  Its collapse defect is summed over the head term by term, and
-    past it as sum_m e_m T(alpha*w + m), whose truncation is at most the
+    ``flats``, ``scales`` and ``head`` give each profile's counts row, count
+    times moment and placed weights on the head.  Each multi-level profile's
+    collapse defect is summed over the head term by term, and past it as
+    sum_m e_m T(alpha*w + m), whose truncation is at most the
     ``_defect_series`` bound times T(alpha*w + M + 1), T the power-sum tail.
     """
-    if not spread:
+    multi = np.count_nonzero(flats, axis=1) > 1
+    if not multi.any():
         return 0.0, 0.0, 0.0
-    betas, scales = zip(*spread)
-    scales = np.array(scales)
-    w = np.array([[beta.weight] for beta in betas], dtype=float)
-    heads = np.array([_placed_weight(beta, _HEAD_SITES, alpha) for beta in betas])
-    heads -= _HEAD_SITES ** (-alpha * w)
-    e, bounds = (np.array(x) for x in zip(*(_defect_series(beta, alpha) for beta in betas)))
+    flats, scales, w = flats[multi], scales[multi], flats[multi].sum(axis=1, keepdims=True)
+    heads = head[multi] - _HEAD_SITES ** (-alpha * w)
+    e, bounds = (np.array(x) for x in zip(*(_defect_series(row, alpha) for row in flats.tolist())))
     s = (alpha * w + np.arange(1, _BINOMIAL_TERMS + 2)).ravel()
-    tails, errs = (x.reshape(len(betas), -1) for x in _power_sum_tail(s, _HEAD, n))
-    limits = _power_sum_tail(s, _HEAD, math.inf)[0].reshape(len(betas), -1)
+    tails, errs = (x.reshape(len(flats), -1) for x in _power_sum_tail(s, _HEAD, n))
+    limits = _power_sum_tail(s, _HEAD, math.inf)[0].reshape(len(flats), -1)
     value = scales * (heads[:, :n].sum(axis=1) + (e * tails[:, :-1]).sum(axis=1))
     limit = scales * (heads.sum(axis=1) + (e * limits[:, :-1]).sum(axis=1))
     err = np.abs(scales) * ((np.abs(e) * errs[:, :-1]).sum(axis=1)
                             + bounds * (tails[:, -1] + errs[:, -1]))
     return math.fsum(value), math.fsum(limit), math.fsum(err)
-
-
-def _moment_profiles(table, dist: DistributionSpec) -> list:
-    """(beta, windows, E[V^beta]) for each profile of ``table`` with flats and a nonzero moment.
-    E[V^beta] is taken once per sequence of level counts, and beta built only where it is nonzero."""
-    out, moment = [], lru_cache(maxsize=None)(dist.counts_moment)
-    for pairs, win in table.items():
-        if pairs:
-            ex = moment(tuple(c for _, c in pairs))
-            if ex:
-                out.append((MultiIndex(pairs), win, ex))
-    return out
-
-
-def _edge_defects(profiles, alpha: float, n: int | None = None):
-    """Yield (coefficient - path count) * E[V^beta] * weight over the clipped placements.
-
-    A path of profile beta placed with its lowest flat at site iota leaves
-    [1, N] on the left when its depth below reaches iota, and on the right
-    when its depth above exceeds N - iota - span(beta).  A closed k-path
-    spans at most k/2 levels, so for N > 2k no path is clipped at both
-    edges, and each edge clips a placement by its distance to that edge
-    alone: the coefficients are read off the profile table's depth
-    histograms at a cost independent of N.  The left window, which does not
-    depend on N, is yielded when ``n`` is None, the right window of N = n
-    sites otherwise.  ``profiles`` is a ``_moment_profiles`` list.
-    """
-    for beta, win, ex in profiles:
-        exf = float(ex)
-        if n is None:
-            clipped = [sum(win.below[iota:]) for iota in range(1, len(win.below))]
-            start = 1
-        else:
-            start = n - beta.span - len(win.above) + 2
-            clipped = [sum(win.above[max(n - iota - beta.span + 1, 0):])
-                       for iota in range(start, n + 1)]
-        sites = np.arange(start, start + len(clipped), dtype=float)
-        weights = _placed_weight(beta, sites, alpha).tolist()
-        yield from (-a * exf * w for a, w in zip(clipped, weights))
 
 
 @dataclass
@@ -320,22 +323,25 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
     table = _profile_table(_row_key(coeffs))
     free = table.get((), ProfileWindows(0, (), ()))
     top = len(coeffs) - 1
-    profiles = _moment_profiles(table, dist)
+    flats, terms, left, right = _row_profiles(table, dist)
     powersum_coeffs = {j: 0 for j in range(1, top + 1)}
-    spread = []  # (multi-level profile, count * moment)
-    for beta, win, ex in profiles:
-        powersum_coeffs[beta.weight] += win.count * ex
-        if not beta.is_single_level():
-            spread.append((beta, win.count * float(ex)))
+    for j, (count, ex) in zip(flats.sum(axis=1).tolist(), terms):
+        powersum_coeffs[j] += count * ex
     orders = np.arange(1, top + 1)
     c = np.array([float(cj) for cj in powersum_coeffs.values()])
     sums, sums_err = _power_sums(alpha * orders, n)
     m_cutoff = divergent_power_cutoff(alpha)
     beyond = orders[(orders > m_cutoff) & (c != 0)]  # the convergent orders that count
     limits = c[beyond - 1] * _power_sums(alpha * beyond, math.inf)[0]
-    placement, placement_limit, placement_err = _placement(spread, alpha, n)
+    head = _placed_weights(flats, _HEAD_SITES, alpha)
+    scales = np.array([count * float(ex) for count, ex in terms])
+    placement, placement_limit, placement_err = _placement(flats, scales, head, alpha, n)
     constant = float(-sum(d * m for hist in (free.below, free.above) for d, m in enumerate(hist)))
-    left = list(_edge_defects(profiles, alpha))
+    # (coefficient - path count) * E[V^beta] * weight over the clipped placements of each edge
+    moments = np.array([float(ex) for _, ex in terms])[:, None]
+    left = (-left * moments * head[:, :left.shape[1]]).ravel()
+    right_sites = n - np.arange(right.shape[1], dtype=float)
+    right = (-right * moments * _placed_weights(flats, right_sites, alpha)).ravel()
     return ExpansionReport(
         kind=kind,
         label=label,
@@ -344,7 +350,7 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
         dist_name=dist.name,
         linear_coeff=float(free.count),
         constant_coeff=constant,
-        boundary=math.fsum(left + list(_edge_defects(profiles, alpha, n))),
+        boundary=math.fsum(np.concatenate((left, right))),
         placement=placement,
         powersum_coeffs={j: float(cj) for j, cj in powersum_coeffs.items()},
         powersums={j: float(v) for j, v in enumerate(sums, start=1)},

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .combinatorics import MultiIndex, _check_cap, _profile_table, _row_key, single_flat_count
+from .combinatorics import _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
 from .expansion import _check_row, _fold, _power_sum_tail, _truncate
 from .hamiltonian import (_band_buffer, _check_power_bound, _PotentialStream, _prefix_trace_moments,
@@ -227,14 +227,14 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 # ------------------------------------------------------- limiting variances
 
 
-def _lag_covariance_sum(beta: MultiIndex, beta2: MultiIndex, dist: DistributionSpec):
-    """sum over lags of Cov(X^beta, X^(beta2 + lag)), beta placed at 0; only the lags at which
-    the placements share a site count, and the sum is exact for a law with rational moments."""
-    mean = dist.moment_product(beta) * dist.moment_product(beta2)
+def _lag_covariance_sum(beta, beta2, dist: DistributionSpec):
+    """sum over lags of Cov(X^beta, X^(beta2 + lag)), beta placed at 0, for (offset, count) pairs;
+    only lags at which the placements share a site count, exact for a law with rational moments."""
+    mean = dist.counts_moment(c for _, c in beta) * dist.counts_moment(c for _, c in beta2)
     total = 0
-    first = dict(beta.pairs)
-    for lag in range(-beta2.span, beta.span + 1):
-        second = {h + lag: c for h, c in beta2.pairs}
+    first = dict(beta)
+    for lag in range(-beta2[-1][0], beta[-1][0] + 1):
+        second = {h + lag: c for h, c in beta2}
         if not first.keys().isdisjoint(second):
             levels = sorted(first.keys() | second.keys())
             total += dist.counts_moment(first.get(h, 0) + second.get(h, 0) for h in levels) - mean
@@ -256,13 +256,12 @@ def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:
     """
     w = LEADING_WEIGHT[series.case]
     if w == 1:
-        amplitudes = [(MultiIndex.delta(),
+        amplitudes = [(((0, 1),),
                        series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL))]
     else:
         degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
-        _check_cap(degree)
         table = _profile_table(_row_key(series.coefficients_upto(degree)))
-        amplitudes = [(MultiIndex(pairs), float(table[pairs].count))
+        amplitudes = [(pairs, float(table[pairs].count))
                       for pairs in sorted(table, key=lambda pairs: (len(pairs), pairs))
                       if sum(c for _, c in pairs) == w]
     total = 0.0

@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tracefluct.combinatorics import MultiIndex
 from tracefluct.distributions import (
     rademacher,
     two_point,
@@ -71,13 +70,10 @@ def test_moments_are_computed_once_per_order(law):
     assert pickle.loads(pickle.dumps(law)).moment(4) == first[4]
 
 
-def test_moment_product():
+def test_counts_moment():
     d = uniform_sqrt3()
-    beta = MultiIndex.from_counts({0: 2, 3: 2})
-    assert d.moment_product(beta) == 1  # E[X^2]^2
-    beta_odd = MultiIndex.from_counts({0: 1, 1: 2})
-    assert d.moment_product(beta_odd) == 0
-    # the same products from bare count sequences, in any order
+    assert d.counts_moment((2, 2)) == 1  # E[X^2]^2
+    # the same product from the counts in any order
     assert d.counts_moment((2, 4)) == d.counts_moment((4, 2)) == Fraction(9, 5)
     assert d.counts_moment((2, 1)) == 0 and d.counts_moment(()) == 1
 

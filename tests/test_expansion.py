@@ -16,6 +16,7 @@ from tracefluct.combinatorics import MultiIndex, _profile_table, _unit_row, prof
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.expansion import (
     _HEAD,
+    _fold,
     _power_sum_tail,
     divergent_power_cutoff,
     exact_mean_trace_f,
@@ -41,7 +42,7 @@ def direct_boundary_correction(n, k, alpha, dist):
     for beta, count in profile_counts(k).items():
         if beta.weight == 0:
             continue
-        ex = float(dist.moment_product(beta))
+        ex = float(dist.counts_moment(c for _, c in beta.pairs))
         if ex == 0:
             continue
         for iota in list(range(1, k)) + list(range(n - k + 1, n + 1)):
@@ -147,7 +148,7 @@ def compensated_placement(row, n, alpha, dist):
     parts = []
     for pairs, win in _profile_table(row).items():
         beta = MultiIndex(pairs)
-        ex = dist.moment_product(beta)
+        ex = dist.counts_moment(c for _, c in pairs)
         if beta.is_single_level() or ex == 0:
             continue
         placed = np.ones(n)
@@ -265,10 +266,25 @@ def test_boundary_trivial_cases():
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12])
 @pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
 def test_boundary_matches_direct_window_sum(k, dist):
-    for n in (2 * k + 2, 25, 40) if k <= 6 else (2 * k + 2, 40):
+    # N = 2k + 1 is the smallest N the fold admits, where the two windows come closest
+    smallest = (2 * k + 1,) if k <= 8 else ()
+    for n in smallest + ((2 * k + 2, 25, 40) if k <= 6 else (2 * k + 2, 40)):
         got = power_expansion(k, n, 0.45, dist).boundary
         want = direct_boundary_correction(n, k, 0.45, dist)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("row", [(0, 0, 1) + (0,) * 10, (0, 0, 1, 0, 1) + (0,) * 9],
+                         ids=["x2-deg12", "x2+x4-deg13"])
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3()], ids=["rad", "uni"])
+def test_trailing_zero_coefficients_leave_the_fold_unchanged(row, dist):
+    # a truncated series can end in zeros; the windows are sized by the profiles, not the row
+    top = max(l for l, c in enumerate(row) if c)
+    for n in (2 * top + 1, 2 * top + 5, 11):
+        got, want = (_fold(r, n, 0.3, dist, "f") for r in (row, row[:top + 1]))
+        assert (got.boundary, got.placement, got.reconstructed_mean, got.remainder_limit,
+                got.site_sum_error) == (want.boundary, want.placement, want.reconstructed_mean,
+                                        want.remainder_limit, want.site_sum_error)
 
 
 def test_boundary_left_window_stable_right_window_decays():

@@ -212,6 +212,14 @@ def test_case_a_exponential_pins(rate, sigma_sq):
     assert sigma_sq_for(AnalyticSeries.exponential(rate), rademacher()) == sigma_sq
 
 
+def test_case_b_refuses_a_row_past_the_cap():
+    # the profile table refuses the degree-30 truncation itself, with the enumeration cap's message
+    cosh = AnalyticSeries.cauchy("cosh", lambda j: 0.0 if j % 2 else 1 / math.factorial(j),
+                                 math.cosh(10), 10.0, "B")
+    with pytest.raises(ValueError, match="enumeration for k=30 exceeds the cap of 14"):
+        sigma_sq_for(cosh, rademacher())
+
+
 def test_case_a_refuses_uncertifiable_tail():
     # single_flat_count(j) <= 3^j, and the Cauchy bound of a radius-2.2 series is inf at x = 3
     slow = AnalyticSeries.cauchy("slow", lambda j: 2.2**-j, 1.0, 2.2, "A")
@@ -238,14 +246,17 @@ DEG12 = AnalyticSeries.polynomial([0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
 
 
 @pytest.mark.parametrize(("dist", "fold", "sigma_sq"), [
-    (uniform_sqrt3(), (141053231.80054912, 45713.44045026651, 1.5090603803752641e-23), 128882991.2),
-    (rademacher(), (140849799.5717614, 5729.135514311278, 1.4970064763364854e-23), 80994056.0),
+    (uniform_sqrt3(), (141053231.80054912, 45713.44045026651, 1.5090603803752641e-23,
+                       -31453.327222422744, -12373.245530484865), 128882991.2),
+    (rademacher(), (140849799.5717614, 5729.135514311278, 1.4970064763364854e-23,
+                    -20975.961757219266, -8684.701552451956), 80994056.0),
 ], ids=["uni", "rad"])
 def test_case_b_deg12_pinned(dist, fold, sigma_sq):
     # an integer row under a rational law sums exactly or through math.fsum,
     # so no order of the profile table's keys may move a bit of these
     report = series_expansion(DEG12, 100_000, 0.2, dist)
-    assert (report.reconstructed_mean, report.remainder_limit, report.site_sum_error) == fold
+    assert (report.reconstructed_mean, report.remainder_limit, report.site_sum_error,
+            report.boundary, report.placement) == fold
     assert sigma_sq_for(DEG12, dist) == sigma_sq
 
 
