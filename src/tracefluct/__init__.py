@@ -8,7 +8,6 @@ from .combinatorics import (
     MultiIndex,
     closed_path_count,
     enumerate_closed_paths,
-    flat_profile,
     flat_weight_bound,
     flat_weight_count,
     profile_count,
@@ -20,7 +19,6 @@ from .combinatorics import (
 from .distributions import (
     DistributionSpec,
     rademacher,
-    two_point,
     uniform_sqrt3,
     uniform_symmetric,
 )

@@ -35,7 +35,7 @@ from .montecarlo import (
     sigma_sq_for,
 )
 from .series import AnalyticSeries
-from .symbolic import exact_expectation_trace_power, verify_interior_identity
+from .symbolic import coefficient_identity_report, trace_power_polynomial
 
 
 @dataclass
@@ -65,7 +65,53 @@ def _sqrt3_weighted_leq(lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
 
 #: Relative tolerance of the mean identity against the symbolic oracle.
 MEAN_IDENTITY_TOL = 1e-9
-FULL_IDENTITY_GRID = (8, (30, 40), (0.2, 0.35, 0.5, 0.8))  # k_max, N grid, alphas of the full sweep
+#: (k_max, N grid, alphas) of each ``verify`` level; criterion 4 reads the full one.
+IDENTITY_GRIDS = {
+    "fast": (6, (20,), (0.35, 0.8)),
+    "full": (8, (30, 40), (0.2, 0.35, 0.5, 0.8)),
+}
+
+
+def identity_sweep(k_max: int, n_grid: tuple[int, ...], alphas: tuple[float, ...]):
+    """Check both oracle identities of Tr H^k over a grid, one polynomial per (k, N).
+
+    Runs k = 1..k_max and N over 2k+2 and ``n_grid``; yields (k, N, the
+    coefficient identity report, [(law name, alpha, relative deviation of
+    the decomposed mean from the oracle's) for both test laws and each alpha]).
+    """
+    laws = (rademacher(), uniform_sqrt3())
+    for k in range(1, k_max + 1):
+        for n in sorted({2 * k + 2, *n_grid}):
+            poly = trace_power_polynomial(n, k)
+            deviations = []
+            for dist in laws:
+                for alpha in alphas:
+                    oracle = poly.expectation(alpha, dist)
+                    mean = power_expansion(k, n, alpha, dist).reconstructed_mean
+                    deviations.append((dist.name, alpha, abs(mean - oracle) / max(1.0, abs(oracle))))
+            yield k, n, coefficient_identity_report(poly), deviations
+
+
+def verify_checks(level: str) -> list[dict]:
+    """One record per identity check of ``verify --level``, in sweep order."""
+    if level not in IDENTITY_GRIDS:
+        raise ValueError("level must be fast or full")
+    checks = []
+    for k, n, rep, deviations in identity_sweep(*IDENTITY_GRIDS[level]):
+        detail = "ok"
+        if not rep.ok:
+            bad = (rep.interior_violations + rep.boundary_violations)[0]
+            detail = (f"coefficient mismatch at k={k}, N={n}, "
+                      f"beta={bad[0]} placed at {bad[1]}: got {bad[2]}, expected {bad[3]}")
+        checks.append({"check": "coefficient-identity", "k": k, "N": n,
+                       "passed": rep.ok, "detail": detail})
+        for law, alpha, rel in deviations:
+            checks.append({
+                "check": "mean-identity", "k": k, "N": n, "alpha": alpha, "dist": law,
+                "passed": bool(rel <= MEAN_IDENTITY_TOL),
+                "detail": f"relative deviation {rel:.2e} at k={k}, N={n}, alpha={alpha}, {law}",
+            })
+    return checks
 
 
 # ----------------------------------------------------------------- criteria
@@ -125,36 +171,24 @@ def _criterion_2() -> CriterionResult:
 def _criterion_3() -> CriterionResult:
     bad = []
     checked = 0
-    for k in range(1, 9):
-        rep = verify_interior_identity(20, k)
+    for k, n, rep, _ in identity_sweep(8, (20,), ()):
         checked += rep.checked_interior + rep.checked_boundary
         if not rep.ok:
-            bad.append((k, rep.interior_violations[:3], rep.boundary_violations[:3]))
+            bad.append((k, n, rep.interior_violations[:3], rep.boundary_violations[:3]))
     return CriterionResult(
         3, "coefficient identity at N=20, k<=8",
         not bad,
-        f"{checked} placements checked; interior coefficients equal path counts, "
-        "boundary ones never exceed them" if not bad else f"violations: {bad}",
+        f"{checked} placements checked at N=20 and N=2k+2; interior coefficients equal "
+        "path counts, boundary ones never exceed them" if not bad else f"violations: {bad}",
     )
 
 
-def mean_identity_sweep(k_max: int, n_grid: tuple[int, ...], alphas: tuple[float, ...]):
-    """Check the decomposed mean of Tr H^k against the symbolic oracle over a grid.
-
-    Runs k = 1..k_max, N over 2k+2 and ``n_grid``, both test laws and
-    ``alphas``; yields (k, N, alpha, law name, relative deviation).
-    """
-    for k in range(1, k_max + 1):
-        for n in sorted({2 * k + 2, *n_grid}):
-            for dist in (rademacher(), uniform_sqrt3()):
-                for alpha in alphas:
-                    oracle = exact_expectation_trace_power(n, k, alpha, dist)
-                    mean = power_expansion(k, n, alpha, dist).reconstructed_mean
-                    yield k, n, alpha, dist.name, abs(mean - oracle) / max(1.0, abs(oracle))
-
-
 def _criterion_4() -> CriterionResult:
-    *worst_at, worst = max(mean_identity_sweep(*FULL_IDENTITY_GRID), key=lambda row: row[-1])
+    *worst_at, worst = max(
+        ((k, n, alpha, law, rel)
+         for k, n, _, deviations in identity_sweep(*IDENTITY_GRIDS["full"])
+         for law, alpha, rel in deviations),
+        key=lambda row: row[-1])
     return CriterionResult(
         4, "mean decomposition identity",
         worst <= MEAN_IDENTITY_TOL,
@@ -405,4 +439,7 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
 
 def run_criteria(only: list[int] | None = None) -> list[CriterionResult]:
     ids = sorted(CRITERIA) if only is None else sorted(only)
+    unknown = [cid for cid in ids if cid not in CRITERIA]
+    if unknown:  # before any criterion runs
+        raise ValueError(f"unknown criterion id(s): {', '.join(map(str, unknown))}")
     return [CRITERIA[cid]() for cid in ids]

@@ -18,13 +18,13 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .acceptance import FULL_IDENTITY_GRID, MEAN_IDENTITY_TOL, mean_identity_sweep, run_criteria
+from .acceptance import run_criteria, verify_checks
 from .combinatorics import MultiIndex, profile_count, profile_counts
 from .distributions import DistributionSpec, rademacher, uniform_sqrt3, uniform_symmetric
 from .expansion import power_expansion, series_expansion
 from .montecarlo import EnsembleConfig, clt_check, joint_correlation, run_ensemble
 from .series import AnalyticSeries
-from .symbolic import coefficient_identity_report, trace_power_polynomial
+from .symbolic import trace_power_polynomial
 
 FORMAT_VERSION = "1"
 
@@ -53,7 +53,11 @@ def parse_beta(text: str) -> MultiIndex:
         h, _, c = part.partition(":")
         if not c:
             raise ValueError(f"cannot parse profile component {part!r}")
-        counts[int(h)] = int(c)
+        h, c = int(h), int(c)
+        if h in counts or c < 1:
+            raise ValueError(f"profile component {part!r}: "
+                             + ("level repeated" if h in counts else "count below 1"))
+        counts[h] = c
     return MultiIndex.from_counts(counts)
 
 
@@ -166,38 +170,9 @@ def cmd_trace_poly(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(level: str):
-    k_max, n_grid, alphas = {
-        "fast": (6, (20,), (0.35, 0.8)),
-        "full": FULL_IDENTITY_GRID,
-    }[level]
-    checks = []
-    for k in range(1, k_max + 1):
-        for n in n_grid:
-            rep = coefficient_identity_report(trace_power_polynomial(n, k))
-            detail = "ok"
-            if not rep.ok:
-                bad = (rep.interior_violations + rep.boundary_violations)[0]
-                detail = (f"coefficient mismatch at k={k}, N={n}, "
-                          f"beta={bad[0]} placed at {bad[1]}: got {bad[2]}, expected {bad[3]}")
-            checks.append({
-                "check": "coefficient-identity", "k": k, "N": n,
-                "passed": rep.ok, "detail": detail,
-            })
-    for k, n, alpha, dist_name, rel in mean_identity_sweep(k_max, n_grid, alphas):
-        checks.append({
-            "check": "mean-identity", "k": k, "N": n, "alpha": alpha,
-            "dist": dist_name, "passed": bool(rel <= MEAN_IDENTITY_TOL),
-            "detail": f"relative deviation {rel:.2e}",
-        })
-    return checks
-
-
 def cmd_verify(args) -> int:
     level = args.level or "fast"
-    if level not in ("fast", "full"):
-        raise ValueError("level must be fast or full")
-    checks = _verify_checks(level)
+    checks = verify_checks(level)
     failed = [c for c in checks if not c["passed"]]
     report = {
         "format_version": FORMAT_VERSION,
@@ -398,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--dist")
-    p.add_argument("--workers", type=int, help="0 = all cores")
+    p.add_argument("--workers", type=int, help="0 = all usable cores")
     p.add_argument("--tail-tol", dest="tail_tol", type=float)
     add_common(p)
 

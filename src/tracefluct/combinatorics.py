@@ -104,9 +104,6 @@ class MultiIndex:
         """Largest occupied offset (0 for the empty profile)."""
         return self.pairs[-1][0] if self.pairs else 0
 
-    def is_single_level(self) -> bool:
-        return len(self.pairs) <= 1
-
     def __str__(self) -> str:
         if not self.pairs:
             return "0"
@@ -122,10 +119,6 @@ class LatticePath:
     def __post_init__(self) -> None:
         if any(s not in (UP, FLAT, DOWN) for s in self.steps):
             raise ValueError("steps must be -1, 0 or +1")
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
     def levels(self) -> tuple[int, ...]:
         """The visited levels y_0 .. y_k, y_0 = 0."""
@@ -151,22 +144,13 @@ class LatticePath:
         return tuple(out)
 
     def flat_profile(self) -> MultiIndex:
-        """Canonical profile of this path's flat steps."""
+        """Canonical profile of this closed path's flat steps; an open path has none."""
+        if not self.is_closed:
+            raise ValueError("flat profiles are defined for closed paths")
         return MultiIndex.from_levels(self.flat_levels())
 
     def __str__(self) -> str:
         return "".join(_STEP_CHARS[s] for s in self.steps) or "(empty)"
-
-
-def flat_profile(path: LatticePath) -> MultiIndex:
-    """Canonical flat profile of a closed path.
-
-    Unlike :meth:`LatticePath.flat_profile`, this rejects open paths,
-    whose flat levels have no canonical profile.
-    """
-    if not path.is_closed:
-        raise ValueError("flat profiles are defined for closed paths")
-    return path.flat_profile()
 
 
 def _check_cap(k: int) -> None:

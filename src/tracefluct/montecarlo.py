@@ -64,10 +64,13 @@ class EnsembleConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.functions:
             raise ValueError("need at least one test function")
+        labels = [f.label for f in self.functions]
+        if len(set(labels)) != len(labels):  # results are looked up by label
+            raise ValueError(f"test function labels repeat: {labels}")
         if self.replicas < 0:
             raise ValueError("replica count must be >= 0")
         if self.workers < 0:
-            raise ValueError("worker count must be >= 0 (0 = all cores)")
+            raise ValueError("worker count must be >= 0 (0 = all usable cores)")
         if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid, default=0) < 2:
             raise ValueError("the size grid must be strictly increasing with N >= 2")
 
@@ -185,7 +188,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
                        max(len(row) - 1 for row in coeff_rows))
 
     seeds = [derive_seed(config.base_seed, r) for r in range(config.replicas)]
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = config.workers or usable
     if workers <= 1 or config.replicas <= 1:
         results = [_replica_block(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)]
     else:
@@ -193,7 +197,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 
         chunk = (config.replicas + workers - 1) // workers
         blocks = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at the first submit: one process per block
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             futures = [
                 pool.submit(_replica_block, config.alpha, config.dist, coeff_rows,
                             config.n_grid, block)

@@ -184,7 +184,6 @@ class InteriorIdentityReport:
 
     n_sites: int
     power: int
-    interior_window: tuple[int, int]
     checked_interior: int = 0
     checked_boundary: int = 0
     #: (beta, iota, coefficient, path count) for interior coefficients != count
@@ -205,9 +204,7 @@ def coefficient_identity_report(poly: TracePolynomial) -> InteriorIdentityReport
     of it (edge clipping removes pairs, never adds them).
     """
     n_sites, k = poly.n_sites, poly.power
-    report = InteriorIdentityReport(
-        n_sites=n_sites, power=k, interior_window=(k, n_sites - k)
-    )
+    report = InteriorIdentityReport(n_sites=n_sites, power=k)
     for beta, count in profile_counts(k).items():
         if beta.weight == 0:
             continue

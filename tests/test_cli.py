@@ -52,8 +52,9 @@ def test_parse_beta():
     assert parse_beta("delta+delta^3") == MultiIndex.delta_pair(3)
     assert parse_beta("0:1,2:2") == MultiIndex.from_counts({0: 1, 2: 2})
     assert parse_beta("zero") == MultiIndex.zero()
-    with pytest.raises(ValueError):
-        parse_beta("nonsense")
+    for text in ("nonsense", "0:-1", "0:0", "0:1,0:2"):  # a count below 1, a repeated level
+        with pytest.raises(ValueError):
+            parse_beta(text)
 
 
 def test_parse_dist_and_function():
@@ -84,6 +85,12 @@ def test_paths_specific_beta(capsys):
     code, out, _ = run_cli(["paths", "--k", "4", "--beta", "2delta"], capsys)
     assert code == 0
     assert out.strip() == "8"
+
+
+@pytest.mark.parametrize("beta", ["0:-1", "0:1,0:2"])
+def test_paths_rejects_bad_profile(beta, capsys):
+    code, out, err = run_cli(["paths", "--k", "4", "--beta", beta], capsys)
+    assert code == 2 and not out and beta.split(",")[-1] in err
 
 
 def test_paths_k0(capsys):
@@ -133,12 +140,28 @@ def test_verify_fast(tmp_path, capsys):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["checks_failed"] == 0
-    assert report["checks_run"] > 50
+    assert report["checks_run"] == 60  # 12 (k, N): one coefficient and four mean checks each
+
+
+def test_verify_full_builds_each_polynomial_once(monkeypatch, capsys):
+    exact = acceptance.trace_power_polynomial
+    calls = []
+
+    def counted(n, k):
+        calls.append((k, n))
+        return exact(n, k)
+
+    monkeypatch.setattr(acceptance, "trace_power_polynomial", counted)
+    code, out, _ = run_cli(["verify", "--level", "full"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["checks_run"] == 216 and report["checks_failed"] == 0
+    assert len(calls) == len(set(calls)) == 24  # k <= 8, N in {2k+2, 30, 40}
 
 
 def test_verify_fault_injection(monkeypatch, capsys):
     # one wrong interior coefficient of Tr H^2 fails the run and is named on stderr
-    exact = cli.trace_power_polynomial
+    exact = acceptance.trace_power_polynomial
 
     def faulty(n, k):
         poly = exact(n, k)
@@ -146,7 +169,7 @@ def test_verify_fault_injection(monkeypatch, capsys):
             poly.terms[sorted(poly.terms, key=lambda m: m.sites)[n // 2]] += 1
         return poly
 
-    monkeypatch.setattr(cli, "trace_power_polynomial", faulty)
+    monkeypatch.setattr(acceptance, "trace_power_polynomial", faulty)
     code, out, err = run_cli(["verify", "--level", "fast"], capsys)
     assert code == 1
     assert "k=2" in err and "beta=" in err
@@ -325,6 +348,14 @@ def test_simulate_just_above_critical_writes_samples(tmp_path, capsys):
     assert not (tmp_path / "clt_report.json").exists()
 
 
+def test_simulate_rejects_repeated_function(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["simulate", "--f", "poly:0,1", "--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "100",
+         "--replicas", "8", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2 and "repeat" in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -381,3 +412,13 @@ def test_accept_failing_criterion(capsys, monkeypatch):
     code, out, _ = run_cli(["accept", "--only", "12"], capsys)
     assert code == 1
     assert "[FAIL] criterion 12" in out
+
+
+def test_accept_unknown_id_exits_before_any_criterion(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a criterion ran before the ids were checked")
+
+    for cid in list(acceptance.CRITERIA):
+        monkeypatch.setitem(acceptance.CRITERIA, cid, never)
+    code, out, err = run_cli(["accept", "--only", "3,13"], capsys)
+    assert code == 2 and not out and "13" in err

@@ -18,7 +18,6 @@ from tracefluct.combinatorics import (
     _profile_table,
     closed_path_count,
     enumerate_closed_paths,
-    flat_profile,
     flat_weight_bound,
     flat_weight_count,
     profile_count,
@@ -136,18 +135,18 @@ def test_levels_match_steps():
 
 def test_flat_profile_examples():
     # single flat step
-    assert flat_profile(LatticePath((FLAT,))) == MultiIndex.delta()
+    assert LatticePath((FLAT,)).flat_profile() == MultiIndex.delta()
     # F,U,F,D has flats at levels 0 and 1
     p = LatticePath((FLAT, UP, FLAT, DOWN))
     assert p.levels() == (0, 0, 1, 1, 0)
-    assert flat_profile(p) == MultiIndex.delta_pair(1)
+    assert p.flat_profile() == MultiIndex.delta_pair(1)
     # no-flat path gives the zero profile
-    assert flat_profile(LatticePath((UP, UP, DOWN, DOWN))) == MultiIndex.zero()
+    assert LatticePath((UP, UP, DOWN, DOWN)).flat_profile() == MultiIndex.zero()
 
 
 def test_flat_profile_requires_closed():
     with pytest.raises(ValueError):
-        flat_profile(LatticePath((UP,)))
+        LatticePath((UP,)).flat_profile()
 
 
 # --------------------------------------------------------------- enumeration
@@ -338,7 +337,7 @@ def test_delta_pair_support_bound():
 def test_enumeration_yields_unique_closed_paths(k):
     seen = set()
     for p in enumerate_closed_paths(k):
-        assert p.length == k
+        assert len(p.steps) == k
         assert p.is_closed
         assert p.steps not in seen
         seen.add(p.steps)

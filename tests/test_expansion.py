@@ -149,7 +149,7 @@ def compensated_placement(row, n, alpha, dist):
     for pairs, win in _profile_table(row).items():
         beta = MultiIndex(pairs)
         ex = dist.counts_moment(c for _, c in pairs)
-        if beta.is_single_level() or ex == 0:
+        if len(pairs) <= 1 or ex == 0:
             continue
         placed = np.ones(n)
         for h, c in pairs:

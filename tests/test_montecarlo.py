@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,48 @@ def test_run_ensemble_worker_count_invariant():
     serial = run_ensemble(small_config(workers=1))
     parallel = run_ensemble(small_config(workers=2))
     assert np.array_equal(serial.raw, parallel.raw)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count, runs each block inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, replicas, started", [
+    (1000, 2, 2),  # never more processes than replica blocks
+    (5, 8, 4),     # blocks of two replicas
+    (0, 8, 3),     # the usable cores, not the machine's
+])
+def test_run_ensemble_starts_one_process_per_block(workers, replicas, started, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    res = run_ensemble(small_config(workers=workers, replicas=replicas))
+    assert _RecordingPool.sizes == [started]
+    assert np.array_equal(res.raw, run_ensemble(small_config(replicas=replicas)).raw)
+
+
+def test_ensemble_config_rejects_repeated_labels():
+    # both print as poly:0,1, and results are looked up by label
+    f, g = AnalyticSeries.polynomial([0, 1.0000001]), AnalyticSeries.polynomial([0, 1.0000002])
+    with pytest.raises(ValueError, match="repeat"):
+        small_config(functions=(f, g))
 
 
 def test_run_ensemble_empty():

@@ -14,21 +14,40 @@ def _exports() -> list[str]:
             for alias in node.names]
 
 
-def _used_names() -> set[str]:
-    """Every name read, attribute taken or string spelled out in the package's
-    modules (``__init__.py`` aside), the demos and the bench.  A ``def`` or
-    ``class`` line names its symbol without reading it, so it does not count."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+def _package_reads(tree: ast.Module, in_bench: bool) -> set[str]:
+    """Names one file reads from the package: a loaded name, an attribute
+    of the package module (``tf.x`` after ``import tracefluct as tf``), a
+    name imported from the package or one of its modules, or -- under
+    ``bench/`` only, where the tracer binds functions by name -- a string."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "tracefluct"}
     used = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)  # the bench binds its traced functions by name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "tracefluct"):
+            used.update(alias.name for alias in node.names)
+        elif in_bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def _used_names() -> set[str]:
+    """Every name the package's modules (``__init__.py`` aside), the demos and
+    the bench read from the package.  A ``def`` or ``class`` line names its
+    symbol without reading it, and a method or a string of the same spelling
+    is not the exported name, so neither counts."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py"))
+    bench = sorted((ROOT / "bench").rglob("*.py"))
+    used = set()
+    for path in files + bench:
+        used |= _package_reads(ast.parse(path.read_text()), path in bench)
     return used
 
 
