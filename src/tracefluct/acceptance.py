@@ -442,4 +442,6 @@ def run_criteria(only: list[int] | None = None) -> list[CriterionResult]:
     unknown = [cid for cid in ids if cid not in CRITERIA]
     if unknown:  # before any criterion runs
         raise ValueError(f"unknown criterion id(s): {', '.join(map(str, unknown))}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"criterion ids repeat: {', '.join(map(str, ids))}")
     return [CRITERIA[cid]() for cid in ids]

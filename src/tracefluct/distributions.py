@@ -88,8 +88,12 @@ class DistributionSpec:
 
     # -- sampling ---------------------------------------------------------
 
+    def sample_divisor(self, scale: np.ndarray) -> np.ndarray:
+        """s_i in ``scale`` made in place the divisor ``sample_xs`` takes: -1/s_i for the sign law."""
+        return np.divide(-1.0, scale, out=scale) if self.kind == "rademacher" else scale
+
     def sample_xs(self, rng: np.random.Generator, out: np.ndarray, scale: np.ndarray) -> None:
-        """Write X_i / s_i into ``out``, where ``scale`` holds s_i (-1/s_i for the sign law).
+        """Write X_i / s_i into ``out``, where ``scale`` is ``sample_divisor`` of s_i.
         With u = random(), X is +1 where u >= 0.5 (sign law), (2u - 1) bound (uniform), or v1
         where u < p1 (two-point).  The sign law reads raw words instead: bit 63 is set exactly
         where u = (word >> 11) 2^-53 >= 0.5, and it turns -1/s_i into +1/s_i.  That holds only

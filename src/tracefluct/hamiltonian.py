@@ -15,6 +15,10 @@ drawn chunk by chunk as well, so it needs O(_CHUNK * k) memory at any N.
 A low power's trace is the sum of its diagonal band, a high power's pairs
 two half powers, and no band whose entries are known is built: H^1 is
 the potential itself, and the top band of every power is all ones.
+
+The replica pass takes coefficient rows (c_0, ..., c_K) in and gives each
+replica's traces sum_j c_j Tr H^j at every grid size out, summing only the
+powers some row uses; ``trace_moments`` is that pass on the unit rows.
 """
 
 from __future__ import annotations
@@ -78,17 +82,16 @@ class _PotentialStream:
 
 @lru_cache(maxsize=4)
 def _site_scale(lo: int, hi: int, alpha: float, dist: DistributionSpec) -> np.ndarray:
-    """Read-only n^alpha, n = lo+1..hi, as ``dist.sample_xs`` takes it; cached whole up to
-    _SCALE_CACHE_SITES sites, past which each window computes its own slice uncached."""
-    scale = np.arange(lo + 1, hi + 1, dtype=float) ** alpha
-    if dist.kind == "rademacher":
-        np.divide(-1.0, scale, out=scale)
+    """Read-only n^alpha, n = lo+1..hi, as the divisor ``dist.sample_xs`` takes; cached whole
+    up to _SCALE_CACHE_SITES sites, past which each window computes its own slice uncached."""
+    scale = dist.sample_divisor(np.arange(lo + 1, hi + 1, dtype=float) ** alpha)
     scale.flags.writeable = False
     return scale
 
 
 def trace_moments(sample, k_max: int) -> np.ndarray:
-    """[Tr H^0, ..., Tr H^k_max] via half powers of the tridiagonal operator.
+    """[Tr H^0, ..., Tr H^k_max]: the `_grid_traces` of the unit rows e_0 .. e_k_max at the
+    sample's own size, each trace a row's one term 1 * Tr H^p.
 
     Only H^1 .. H^top, top = ceil(k_max/2), are formed.  For p <= top,
     Tr H^p is the sum of the diagonal band of H^p; above it, Tr H^(a+b) =
@@ -109,7 +112,7 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     v = np.asarray(sample, dtype=float)
-    return _prefix_trace_moments(v, k_max, (v.size,))[0]
+    return _grid_traces(v, [(0,) * p + (1,) for p in range(k_max + 1)], (v.size,))[0]
 
 
 def _check_power_bound(n_sites: int, peak: float, k_max: int) -> None:
@@ -129,9 +132,9 @@ def _check_power_bound(n_sites: int, peak: float, k_max: int) -> None:
         )
 
 
-def _band_buffer(k_max: int, n_sites: int) -> np.ndarray:
-    """Scratch band powers for `_prefix_trace_moments` on up to n_sites sites; reusable across calls."""
-    top = (k_max + 1) // 2
+def _band_buffer(rows, n_sites: int) -> np.ndarray:
+    """Scratch band powers for `_grid_traces` of the rows on up to n_sites sites; reusable across calls."""
+    top = max((len(row) for row in rows), default=1) // 2  # ceil(k_max/2)
     return np.empty((2, top, min(n_sites, _CHUNK + 2 * top)))
 
 
@@ -201,19 +204,19 @@ def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, .
     return per_band[..., 0] + 2.0 * per_band[..., 1:].sum(axis=-1)
 
 
-def _prefix_trace_moments(v: np.ndarray | _PotentialStream, k_max: int, sizes: tuple[int, ...],
-                          bands: np.ndarray | None = None, bound: float | None = None,
-                          powers: set[int] | None = None) -> np.ndarray:
-    """Trace moments of every prefix size in one pass: shape (len(sizes), k_max + 1).
+def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
+                 bands: np.ndarray | None = None, bound: float | None = None) -> np.ndarray:
+    """Tr f(H) of every coefficient row (c_0, ..., c_K) at every prefix size in one pass:
+    shape (len(sizes), len(rows)), each the fsum of c_j Tr H^j over the row's nonzero c_j.
 
     ``v`` is the potential: an array, or a `_PotentialStream` (with ``bound``),
     which draws each chunk's sites as the pass reaches them.
     ``sizes`` is strictly increasing and ends by ``v.size`` (else a ValueError); ``bands`` is
-    an optional `_band_buffer` for ``v.size`` sites, reused between calls.
+    an optional `_band_buffer` of the rows for ``v.size`` sites, reused between calls.
     ``bound`` is a known bound on |V| (a law's support), certified against
     overflow in place of a scan of ``v`` for its largest magnitude.
-    Only the traces of H^p for p in ``powers`` (default all) are formed; the
-    other columns p >= 1 are NaN.
+    Bands are built up to the rows' top power k_max, but Tr H^p is summed
+    only for a p that some row uses.
 
     With rows counted from 0, the row terms of Tr H^p (see `_chain_sums`)
     depend only on the sites within top = ceil(k_max/2) of the row: the
@@ -227,37 +230,58 @@ def _prefix_trace_moments(v: np.ndarray | _PotentialStream, k_max: int, sizes: t
     """
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] > v.size):
         raise ValueError(f"sizes {sizes} must be strictly increasing and at most {v.size}")
-    out = np.empty((len(sizes), k_max + 1))
-    out[:, 0] = sizes
-    if k_max == 0:
-        return out
-    if bound is None:
-        bound = np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
-    _check_power_bound(v.size, bound, k_max)
-    top = (k_max + 1) // 2
-    if bands is None:
-        bands = _band_buffer(k_max, v.size)
-    powers = frozenset(range(1, k_max + 1) if powers is None else powers)
-    running = np.zeros(k_max + 1)
-    start = 0  # rows [0, start) of every later size are in running
-    for row, n in zip(out, sizes):
-        while n - start > _CHUNK + top:
+    k_max = max((len(row) - 1 for row in rows), default=0)
+    moments = np.zeros((len(sizes), k_max + 1))  # Tr H^p, left 0 for a p no row uses
+    moments[:, 0] = sizes
+    if k_max:
+        if bound is None:
+            bound = np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
+        _check_power_bound(v.size, bound, k_max)
+        top = (k_max + 1) // 2
+        if bands is None:
+            bands = _band_buffer(rows, v.size)
+        powers = frozenset(j for row in rows for j, c in enumerate(row) if c != 0.0)
+        running = np.zeros(k_max + 1)
+        start = 0  # rows [0, start) of every later size are in running
+        for moment, n in zip(moments, sizes):
+            while n - start > _CHUNK + top:
+                lo = max(start - top, 0)
+                stop = start + _CHUNK
+                running += _chain_sums(v[lo:stop + top], k_max, bands, (start - lo, stop - lo), powers)[0]
+                start = stop
             lo = max(start - top, 0)
-            stop = start + _CHUNK
-            running += _chain_sums(v[lo:stop + top], k_max, bands, (start - lo, stop - lo), powers)[0]
-            start = stop
-        lo = max(start - top, 0)
-        cut = max(start, n - top)
-        shared, own = _chain_sums(v[lo:n], k_max, bands, (start - lo, cut - lo, n - lo), powers)
-        running += shared
-        row[1:] = (running + own)[1:]
-        start = cut
-    bad = ~(np.abs(out) <= _OVERFLOW_LIMIT)  # a power left out is 0 here
-    if bad.any():
-        p = int(np.argmax(bad.any(axis=0)))
-        raise OverflowError(f"Tr H^{p} exceeds {_OVERFLOW_LIMIT:g} or is not finite; aborting")
-    out[:, [p for p in range(1, k_max + 1) if p not in powers]] = np.nan
+            cut = max(start, n - top)
+            shared, own = _chain_sums(v[lo:n], k_max, bands, (start - lo, cut - lo, n - lo), powers)
+            running += shared
+            moment[1:] = (running + own)[1:]
+            start = cut
+        bad = ~(np.abs(moments) <= _OVERFLOW_LIMIT)
+        if bad.any():
+            p = int(np.argmax(bad.any(axis=0)))
+            raise OverflowError(f"Tr H^{p} exceeds {_OVERFLOW_LIMIT:g} or is not finite; aborting")
+    out = np.empty((len(sizes), len(rows)))
+    for traces, moment in zip(out, moments.tolist()):
+        traces[:] = [math.fsum(c * moment[j] for j, c in enumerate(row) if c != 0.0) for row in rows]
     return out
+
+
+def _replica_traces(alpha: float, dist: DistributionSpec, rows, sizes: tuple[int, ...],
+                    seeds: list[int]) -> tuple[np.ndarray, float, float]:
+    """`_grid_traces` of the rows for a block of replicas, shape (len(seeds), len(rows),
+    len(sizes)), with the block's summed sampling and trace seconds.  Replica r's potential
+    is drawn from seeds[r] as the pass reaches it, and bounded by the law's bound; one
+    band buffer and one window of sites serve every chunk of every replica."""
+    bands = _band_buffer(rows, sizes[-1])
+    window = np.empty(bands.shape[-1])  # a chunk's sites with their halo, as long as a band row
+    out = np.empty((len(seeds), len(rows), len(sizes)))
+    sample_s = trace_s = 0.0
+    for traces, seed in zip(out, seeds):
+        t0 = time.perf_counter()
+        v = _PotentialStream(sizes[-1], alpha, dist, seed, window)
+        traces[:] = _grid_traces(v, rows, sizes, bands, dist.bound).T
+        sample_s += v.sample_s
+        trace_s += time.perf_counter() - t0 - v.sample_s
+    return out, sample_s, trace_s
 
 
 def eigenvalues(sample) -> np.ndarray:

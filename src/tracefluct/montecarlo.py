@@ -26,8 +26,7 @@ import numpy as np
 from .combinatorics import _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
 from .expansion import _check_row, _fold, _power_sum_tail, _truncate
-from .hamiltonian import (_band_buffer, _check_power_bound, _PotentialStream, _prefix_trace_moments,
-                          derive_seed)
+from .hamiltonian import _check_power_bound, _replica_traces, derive_seed
 from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
 
 #: Certified bound on the dropped part of the case A single-flat series.
@@ -69,6 +68,8 @@ class EnsembleConfig:
             raise ValueError(f"test function labels repeat: {labels}")
         if self.replicas < 0:
             raise ValueError("replica count must be >= 0")
+        if self.base_seed < 0:  # a SeedSequence entropy word, never negative
+            raise ValueError(f"the base seed must be >= 0, got {self.base_seed}")
         if self.workers < 0:
             raise ValueError("worker count must be >= 0 (0 = all usable cores)")
         if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid, default=0) < 2:
@@ -142,31 +143,6 @@ class EnsembleResult:
         return self.centered(f_label, n) / math.sqrt(scale)
 
 
-def _replica_block(alpha: float, dist: DistributionSpec, coeff_rows: tuple[tuple[float, ...], ...],
-                   n_grid: tuple[int, ...], seeds: list[int]) -> tuple[np.ndarray, float, float]:
-    """Raw traces for a block of replicas, shape (len(seeds), n_functions, len(n_grid)),
-    with the block's summed sampling and trace seconds."""
-    k_max = max((len(row) - 1 for row in coeff_rows), default=0)
-    powers = {j for row in coeff_rows for j, c in enumerate(row) if c != 0.0}
-    out = np.empty((len(seeds), len(coeff_rows), len(n_grid)))
-    n_max = n_grid[-1]
-    bands = _band_buffer(k_max, n_max)  # one scratch for every chunk of every replica
-    window = np.empty(bands.shape[-1])  # a chunk's sites with their halo, as long as a band row
-    sample_s = trace_s = 0.0
-    for r, seed in enumerate(seeds):
-        t0 = time.perf_counter()
-        v = _PotentialStream(n_max, alpha, dist, seed, window)
-        grid_moments = _prefix_trace_moments(v, k_max, n_grid, bands, dist.bound, powers)
-        for ni, moments in enumerate(grid_moments):
-            for fi, row in enumerate(coeff_rows):
-                out[r, fi, ni] = math.fsum(
-                    c * moments[j] for j, c in enumerate(row) if c != 0.0
-                )
-        sample_s += v.sample_s
-        trace_s += time.perf_counter() - t0 - v.sample_s
-    return out, sample_s, trace_s
-
-
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Run the ensemble described by ``config``; bit-reproducible.
 
@@ -191,7 +167,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = config.workers or usable
     if workers <= 1 or config.replicas <= 1:
-        results = [_replica_block(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)]
+        results = [_replica_traces(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~18 ms of imports a serial run skips
 
@@ -200,7 +176,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         # a fork pool starts every worker at the first submit: one process per block
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             futures = [
-                pool.submit(_replica_block, config.alpha, config.dist, coeff_rows,
+                pool.submit(_replica_traces, config.alpha, config.dist, coeff_rows,
                             config.n_grid, block)
                 for block in blocks
             ]

@@ -79,7 +79,8 @@ class AnalyticSeries:
 
     ``degree`` is None for a genuinely infinite series; then ``coeff_fn``
     supplies the coefficients and ``tail_fn(k, x)`` bounds sum_{j>k} |c_j| x^j
-    (built by ``exponential`` or ``cauchy``).  ``case`` is the fluctuation case tag.
+    (built by ``exponential`` or ``cauchy``).  ``case`` is the fluctuation case tag:
+    a polynomial's is its ``classify_polynomial``, an infinite series' is declared.
     """
 
     label: str
@@ -98,25 +99,14 @@ class AnalyticSeries:
         if self.coeffs is None and (self.coeff_fn is None or self.tail_fn is None):
             raise ValueError("an infinite series needs a coeff_fn and its tail bound; "
                              "build it with exponential or cauchy")
-        if self.coeffs is not None:
-            if self.case == CASE_B and any(
-                c != 0 for j, c in enumerate(self.coeffs) if j % 2 == 1
-            ):
-                raise ValueError("case B requires vanishing odd coefficients")
-            if self.case == CASE_C:
-                if any(c != 0 for j, c in enumerate(self.coeffs) if j % 2 == 0):
-                    raise ValueError("case C requires vanishing even coefficients")
-                if classify_polynomial(self.coeffs) != CASE_C:
-                    raise ValueError(
-                        "case C requires the linear coefficient to cancel the "
-                        "single-flat contribution of the odd powers"
-                    )
+        if self.coeffs is not None and self.case != classify_polynomial(self.coeffs):
+            raise ValueError(f"{self.label} is a polynomial of case "
+                             f"{classify_polynomial(self.coeffs)}, not case {self.case}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def polynomial(cls, coeffs: Sequence[float], label: str | None = None,
-                   case: str | None = None) -> "AnalyticSeries":
+    def polynomial(cls, coeffs: Sequence[float], label: str | None = None) -> "AnalyticSeries":
         cs = tuple(float(c) for c in coeffs)
         while cs and cs[-1] == 0.0:
             cs = cs[:-1]
@@ -127,7 +117,7 @@ class AnalyticSeries:
         return cls(
             label=label,
             radius=math.inf,
-            case=case if case is not None else classify_polynomial(cs),
+            case=classify_polynomial(cs),
             degree=len(cs) - 1,
             coeffs=cs,
         )

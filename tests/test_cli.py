@@ -349,11 +349,18 @@ def test_simulate_just_above_critical_writes_samples(tmp_path, capsys):
 
 
 def test_simulate_rejects_repeated_function(tmp_path, capsys):
+    # a rejected configuration makes no output directory, and so writes nothing
+    out = tmp_path / "out"
     code, _, err = run_cli(
         ["simulate", "--f", "poly:0,1", "--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "100",
-         "--replicas", "8", "--seed", "1", "--out", str(tmp_path)], capsys)
+         "--replicas", "8", "--seed", "1", "--out", str(out)], capsys)
     assert code == 2 and "repeat" in err
-    assert not (tmp_path / "samples.csv").exists()
+    assert not out.exists()
+    code, _, err = run_cli(
+        ["simulate", "--f", "poly:0,1", "--alpha", "0.3", "--n-grid", "100", "--replicas", "2",
+         "--seed", "-1", "--out", str(out)], capsys)
+    assert code == 2 and "seed must be >= 0, got -1" in err
+    assert not out.exists()
 
 
 def test_simulate_config_file(tmp_path, capsys):
@@ -422,3 +429,5 @@ def test_accept_unknown_id_exits_before_any_criterion(capsys, monkeypatch):
         monkeypatch.setitem(acceptance.CRITERIA, cid, never)
     code, out, err = run_cli(["accept", "--only", "3,13"], capsys)
     assert code == 2 and not out and "13" in err
+    code, out, err = run_cli(["accept", "--only", "1,1"], capsys)
+    assert code == 2 and not out and "repeat" in err

@@ -1,5 +1,6 @@
 """Numeric kernels against dense-matrix, sparse-matrix and eigensolver oracles."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,10 +11,9 @@ from tracefluct import hamiltonian
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3, uniform_symmetric
 from tracefluct.hamiltonian import (
     _CHUNK,
-    _PotentialStream,
-    _band_buffer,
     _chain_sums,
-    _prefix_trace_moments,
+    _grid_traces,
+    _replica_traces,
     _site_scale,
     derive_seed,
     eigenvalues,
@@ -34,6 +34,16 @@ def dense_trace_powers(values, k_max):
         p = p @ h
         out.append(float(np.trace(p)))
     return np.array(out)
+
+
+def unit_rows(k):
+    """The coefficient rows e_0 .. e_k, whose traces are Tr H^0 .. Tr H^k."""
+    return [(0,) * p + (1,) for p in range(k + 1)]
+
+
+def grid_moments(v, k, sizes, bound=None):
+    """[Tr H^0, ..., Tr H^k] of every prefix size, one pass over v: shape (len(sizes), k + 1)."""
+    return _grid_traces(v, unit_rows(k), sizes, bound=bound)
 
 
 # ---------------------------------------------------------------- sampling
@@ -81,7 +91,7 @@ def test_sampling_matches_reference_forms(dist):
             xs = np.where(u < float(p1), float(v1), float(v2))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         out = np.empty(n)
-        dist.sample_xs(rng, out, np.full(n, -1.0 if dist.kind == "rademacher" else 1.0))
+        dist.sample_xs(rng, out, dist.sample_divisor(np.ones(n)))
         assert np.array_equal(out, xs)
         values = xs / np.arange(1, n + 1, dtype=float) ** alpha
         assert np.array_equal(sample_potential(n, alpha, dist, seed), values)
@@ -96,9 +106,9 @@ def test_scale_past_the_cache_matches_the_cached_array(dist, alpha, monkeypatch)
     for lo, hi in ((0, 1000), (990, 1001), (1001, 17_400), (_CHUNK - 3, 2 * _CHUNK + 5), (n - 7, n)):
         assert np.array_equal(_site_scale.__wrapped__(lo, hi, alpha, dist), whole[lo:hi]), (lo, hi)
     sizes = (5, _CHUNK + 3, n)
-    cached = stream_traces(n, alpha, dist, 4, 12, sizes)
+    cached = stream_traces(alpha, dist, 4, 12, sizes)
     monkeypatch.setattr(hamiltonian, "_SCALE_CACHE_SITES", 1000)
-    assert np.array_equal(stream_traces(n, alpha, dist, 4, 12, sizes), cached)
+    assert np.array_equal(stream_traces(alpha, dist, 4, 12, sizes), cached)
 
 
 def test_sample_validation():
@@ -163,7 +173,7 @@ def test_grid_pass_matches_per_size_calls(n_max):
     v = sample_potential(n_max, 0.3, rademacher(), seed=900 + n_max)
     sizes = tuple(range(1, n_max + 1))
     for k in range(14):
-        grid = _prefix_trace_moments(v, k, sizes)
+        grid = grid_moments(v, k, sizes)
         assert grid.shape == (n_max, k + 1)
         for row, n in zip(grid, sizes):
             one = trace_moments(v[:n], k)
@@ -175,13 +185,13 @@ def test_grid_pass_matches_per_size_calls(n_max):
 def test_grid_pass_rejects_a_bad_grid(sizes):
     # a size past the sample has no sites to read: the free 2-site chain's Tr H^2 is 2, not 0
     with pytest.raises(ValueError, match="strictly increasing"):
-        _prefix_trace_moments(np.zeros(1), 2, sizes)
+        grid_moments(np.zeros(1), 2, sizes)
 
 
 def test_grid_pass_on_a_sparse_grid():
     v = sample_potential(3000, 0.2, uniform_sqrt3(), seed=31)
     sizes = (5, 6, 700, 2999, 3000)
-    grid = _prefix_trace_moments(v, 12, sizes)
+    grid = grid_moments(v, 12, sizes)
     for row, n in zip(grid, sizes):
         one = trace_moments(v[:n], 12)
         assert np.all(np.abs(row - one) <= 1e-13 * _majorant(v[:n], np.arange(13)))
@@ -200,7 +210,7 @@ def test_chunked_grid_pass_vs_dense(chunk, n_max, monkeypatch):
     for k in range(14):
         powers = np.arange(k + 1)
         for sizes in grids:
-            grid = _prefix_trace_moments(v, k, sizes)
+            grid = grid_moments(v, k, sizes)
             for row, n in zip(grid, sizes):
                 bound = 1e-13 * _majorant(v[:n], powers)
                 assert np.all(np.abs(row - dense[n][:k + 1]) <= bound), (k, sizes, n)
@@ -228,21 +238,20 @@ def test_free_chain_traces_are_exact(chunk, monkeypatch):
                  tuple(sorted({1, 2, n_max // 3, n_max - 1, n_max} & set(range(1, n_max + 1))))}
         for k in range(14):
             for sizes in grids:
-                grid = _prefix_trace_moments(v, k, sizes)
+                grid = grid_moments(v, k, sizes)
                 for row, n in zip(grid, sizes):
                     assert row.tolist() == exact[n][:k + 1], (k, sizes, n)
 
 
-def stream_traces(n_max, alpha, dist, seed, k, sizes, powers=None):
-    """A replica's grid traces, its potential drawn chunk by chunk as the pass reaches it."""
-    bands = _band_buffer(k, n_max)
-    v = _PotentialStream(n_max, alpha, dist, seed, np.empty(bands.shape[-1]))
-    return _prefix_trace_moments(v, k, sizes, bands, dist.bound, powers)
+LAWS = [rademacher(), uniform_sqrt3(), two_point(2, Fraction(-1, 2), Fraction(1, 5))]
 
 
-@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3(), two_point(2, Fraction(-1, 2),
-                                                                          Fraction(1, 5))],
-                         ids=["rademacher", "uniform", "two-point"])
+def stream_traces(alpha, dist, seed, k, sizes):
+    """A replica's grid moments, its potential drawn chunk by chunk as the pass reaches it."""
+    return _replica_traces(alpha, dist, unit_rows(k), sizes, [seed])[0][0].T
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=["rademacher", "uniform", "two-point"])
 @pytest.mark.parametrize("k", [1, 3, 12, 14])
 def test_streamed_traces_match_the_whole_potential(dist, k):
     # the same doubles in the same chunks: bit-identical to the pass over the drawn array
@@ -251,27 +260,58 @@ def test_streamed_traces_match_the_whole_potential(dist, k):
              (_CHUNK - top, _CHUNK + top, 3 * _CHUNK + 5), (5, _CHUNK, 2 * _CHUNK + top + 1)]
     for seed, sizes in enumerate(grids):
         whole = sample_potential(sizes[-1], 0.3, dist, seed)
-        streamed = stream_traces(sizes[-1], 0.3, dist, seed, k, sizes)
-        assert np.array_equal(streamed, _prefix_trace_moments(whole, k, sizes)), sizes
+        streamed = stream_traces(0.3, dist, seed, k, sizes)
+        assert np.array_equal(streamed, grid_moments(whole, k, sizes)), sizes
         if len(sizes) == 1:
             assert np.array_equal(streamed[0], trace_moments(whole, k)), sizes
 
 
+@pytest.mark.parametrize("dist", LAWS, ids=["rademacher", "uniform", "two-point"])
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_replica_block_reuses_buffers_without_leaks(dist, k, monkeypatch):
+    # chains of every length pass through one band buffer and one window: a block of
+    # three replicas gives the very doubles of three blocks of one
+    monkeypatch.setattr(hamiltonian, "_CHUNK", 5)
+    buffers, windows = [], set()
+    band_buffer, stream = hamiltonian._band_buffer, hamiltonian._PotentialStream
+
+    def counted(*args):
+        buffers.append(band_buffer(*args))
+        return buffers[-1]
+
+    def recorded(*args):
+        windows.add(id(args[-1]))
+        return stream(*args)
+
+    monkeypatch.setattr(hamiltonian, "_band_buffer", counted)
+    monkeypatch.setattr(hamiltonian, "_PotentialStream", recorded)
+    rows = [*unit_rows(k)[1:], (1.5, 0.0, -2.0, 0.25)[:k + 1]]
+    sizes, seeds = (2, 4, 13, 14, 37), [derive_seed(3, r) for r in range(3)]
+    block = _replica_traces(0.3, dist, rows, sizes, seeds)[0]
+    assert len(buffers) == 1 and len(windows) == 1
+    for traces, seed in zip(block, seeds):
+        assert np.array_equal(traces, _replica_traces(0.3, dist, rows, sizes, [seed])[0][0])
+
+
 @pytest.mark.parametrize("chunk, n", [(3, 40), (7, 40), (_CHUNK, 2 * _CHUNK + 9)])
 def test_masked_powers_match_the_full_kernel(chunk, n, monkeypatch):
-    # a power left out is NaN; every power asked for is the very double of the full kernel
+    # a row's trace is the fsum of the full kernel's moments over the row's powers, to the bit
     monkeypatch.setattr(hamiltonian, "_CHUNK", chunk)
     v = sample_potential(n, 0.3, uniform_sqrt3(), seed=8)
     sizes = (2, 9, n // 2 + 1, n)
     rng = np.random.default_rng(chunk)
     for k in range(1, 15):
-        full = _prefix_trace_moments(v, k, sizes)
+        full = grid_moments(v, k, sizes)
+        rows = []
         for powers in ({k}, {1}, set(range(2, k + 1, 2)), set(rng.choice(k + 1, 3).tolist())):
-            got = _prefix_trace_moments(v, k, sizes, powers=powers)
-            asked = sorted(powers | {0})
-            assert np.array_equal(got[:, asked], full[:, asked]), (k, powers)
-            assert np.isnan(np.delete(got, asked, axis=1)).all(), (k, powers)
-    # and the chain sums make no sum of a power left out
+            row = np.zeros(k + 1)  # padded to k + 1, so the bands and chunks are the full kernel's
+            row[sorted(powers)] = rng.normal(size=len(powers))
+            rows.append(tuple(row.tolist()))
+        got = _grid_traces(v, rows, sizes)
+        for i, moments in enumerate(full):
+            want = [math.fsum(c * moments[j] for j, c in enumerate(row) if c) for row in rows]
+            assert got[i].tolist() == want, (k, rows)
+    # and the chain sums make no sum of a power no row uses
     sums = _chain_sums(v[:40], 14, np.empty((2, 7, 40)), (0, 20, 40), frozenset({2, 9}))
     assert not np.delete(sums, [2, 9], axis=1).any() and sums[:, [2, 9]].all()
 
@@ -283,9 +323,9 @@ def test_law_bound_certifies_before_band_work(monkeypatch):
     v = np.zeros(10)  # harmless itself; the law's bound is what the caller vouches for
     monkeypatch.setattr(hamiltonian, "_chain_sums", no_band_work)
     with pytest.raises(OverflowError, match="abort"):
-        _prefix_trace_moments(v, 13, (5, 10), bound=1e30)  # 10 * (2 + 1e30)^13 > 1e300
+        grid_moments(v, 13, (5, 10), bound=1e30)  # 10 * (2 + 1e30)^13 > 1e300
     monkeypatch.undo()
-    assert _prefix_trace_moments(v, 13, (5, 10), bound=1.0).shape == (2, 14)
+    assert grid_moments(v, 13, (5, 10), bound=1.0).shape == (2, 14)
 
 
 def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():
@@ -295,7 +335,7 @@ def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():
     c = hamiltonian._CHUNK
     sizes = (c - 1, c, c + 1, 2 * c + 3)
     v = sample_potential(sizes[-1], 0.5, rademacher(), seed=78)
-    grid = _prefix_trace_moments(v, 13, sizes)
+    grid = grid_moments(v, 13, sizes)
     for row, n in zip(grid, sizes):
         ones = np.ones(n - 1)
         h = sparse.diags([ones, v[:n], ones], [-1, 0, 1], format="csr")
@@ -310,7 +350,7 @@ def test_kernel_memory_is_flat_in_n():
     v = sample_potential(10**6, 0.3, rademacher(), seed=5)
     tracemalloc.start()
     try:
-        _prefix_trace_moments(v, 12, (10**6,))
+        grid_moments(v, 12, (10**6,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,7 +362,7 @@ def test_replica_memory_is_flat_in_n(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_SCALE_CACHE_SITES", _CHUNK)
     tracemalloc.start()
     try:
-        stream_traces(10**6, 0.3, uniform_sqrt3(), 5, 12, (10**5, 10**6))
+        stream_traces(0.3, uniform_sqrt3(), 5, 12, (10**5, 10**6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,8 +392,7 @@ def test_overflow_guard_traces_and_entries(values, k_max):
     with pytest.raises(OverflowError, match="abort"):
         trace_moments(values, k_max)
     with pytest.raises(OverflowError, match="abort"):
-        _prefix_trace_moments(np.concatenate([values, np.zeros(5)]), k_max,
-                              (values.size, values.size + 5))
+        grid_moments(np.concatenate([values, np.zeros(5)]), k_max, (values.size, values.size + 5))
 
 
 # ------------------------------------------------------------- eigenvalues

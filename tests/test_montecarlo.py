@@ -156,6 +156,11 @@ def test_ensemble_config_rejects_repeated_labels():
         small_config(functions=(f, g))
 
 
+def test_ensemble_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="base seed must be >= 0, got -1"):
+        small_config(base_seed=-1)
+
+
 def test_run_ensemble_empty():
     res = run_ensemble(small_config(replicas=0))
     assert res.raw.shape == (0, 2, 2)

@@ -40,11 +40,17 @@ def test_polynomial_constructor():
 
 
 def test_case_validation_rejects_mismatch():
-    with pytest.raises(ValueError, match="case B"):
-        AnalyticSeries.polynomial([0, 1, 1], case=CASE_B)
-    with pytest.raises(ValueError, match="case C"):
-        AnalyticSeries.polynomial([0, -5, 0, 1], case=CASE_C)
-    AnalyticSeries.polynomial([0, -6, 0, 1], case=CASE_C)  # normal form accepted
+    # a polynomial's case is its classification: a forced case A of x^2 would be
+    # scaled at alpha_c = 1/2 and given case A's sigma^2 = 0 under the uniform law
+    def tagged(coeffs, case):
+        return AnalyticSeries(label="p", radius=math.inf, case=case, degree=len(coeffs) - 1,
+                              coeffs=tuple(coeffs))
+
+    for coeffs, case, classified in (([0, 1, 1], CASE_B, CASE_A), ([0, -5, 0, 1], CASE_C, CASE_A),
+                                     ([0, 0, 1], CASE_A, CASE_B)):
+        with pytest.raises(ValueError, match=f"of case {classified}, not case {case}"):
+            tagged(coeffs, case)
+    assert tagged([0, -6, 0, 1], CASE_C).case == CASE_C  # the normal form is case C
 
 
 def test_monomial_and_alpha_critical():
