@@ -52,15 +52,8 @@ class CriterionResult:
 
 def _sqrt3_weighted_leq(lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
     """Exact comparison a1 + b1*sqrt(3) <= a2 + b2*sqrt(3) over integers."""
-    x = rhs[0] - lhs[0]
-    y = rhs[1] - lhs[1]
-    if x >= 0 and y >= 0:
-        return True
-    if x < 0 and y < 0:
-        return False
-    if x >= 0:  # y < 0: need x >= |y|*sqrt(3)
-        return x * x >= 3 * y * y
-    return 3 * y * y >= x * x  # x < 0 <= y: need |x| <= y*sqrt(3)
+    x, y = rhs[0] - lhs[0], rhs[1] - lhs[1]  # is x + y*sqrt(3) >= 0?
+    return (x >= 0 or x * x <= 3 * y * y) if y >= 0 else (x >= 0 and x * x >= 3 * y * y)
 
 
 #: Relative tolerance of the mean identity against the symbolic oracle.
@@ -144,20 +137,10 @@ def _criterion_2() -> CriterionResult:
         # geometric bound at C_X = 1, exact integers
         if sum(c * 1**j for j, c in enumerate(counts)) > 3**l:
             bad.append(("cx1", l))
-        # geometric bound at C_X = sqrt(3): a + b*sqrt(3) arithmetic
-        lhs = [0, 0]
-        for j, c in enumerate(counts):
-            if j % 2 == 0:
-                lhs[0] += c * 3 ** (j // 2)
-            else:
-                lhs[1] += c * 3 ** ((j - 1) // 2)
-        rhs = [0, 0]
-        for i in range(l + 1):  # (2 + sqrt(3))^l by binomial expansion
-            term = math.comb(l, i) * 2 ** (l - i)
-            if i % 2 == 0:
-                rhs[0] += term * 3 ** (i // 2)
-            else:
-                rhs[1] += term * 3 ** ((i - 1) // 2)
+        # geometric bound at C_X = sqrt(3) in a + b*sqrt(3) arithmetic: sum_j c_j sqrt(3)^j
+        # against (2 + sqrt(3))^l by binomial expansion, even powers of sqrt(3) into a, odd into b
+        lhs, rhs = ([sum(t * 3 ** (j // 2) for j, t in enumerate(terms) if j % 2 == odd) for odd in (0, 1)]
+                    for terms in (counts, [math.comb(l, i) * 2 ** (l - i) for i in range(l + 1)]))
         if not _sqrt3_weighted_leq(tuple(lhs), tuple(rhs)):
             bad.append(("cx_sqrt3", l))
     return CriterionResult(

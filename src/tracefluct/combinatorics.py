@@ -15,6 +15,7 @@ integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -122,12 +123,7 @@ class LatticePath:
 
     def levels(self) -> tuple[int, ...]:
         """The visited levels y_0 .. y_k, y_0 = 0."""
-        out = [0]
-        y = 0
-        for s in self.steps:
-            y += s
-            out.append(y)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.steps, initial=0))
 
     @property
     def is_closed(self) -> bool:
@@ -135,13 +131,7 @@ class LatticePath:
 
     def flat_levels(self) -> tuple[int, ...]:
         """Level of each flat step, in path order."""
-        out = []
-        y = 0
-        for s in self.steps:
-            if s == FLAT:
-                out.append(y)
-            y += s
-        return tuple(out)
+        return tuple(y for y, s in zip(self.levels(), self.steps) if s == FLAT)
 
     def flat_profile(self) -> MultiIndex:
         """Canonical profile of this closed path's flat steps; an open path has none."""
@@ -238,8 +228,25 @@ def _merge(n, *cols):
     return (np.add.reduceat(n[order], start), *(col[start] for col in cols))
 
 
+@dataclass(frozen=True)
+class ProfileTable:
+    """A coefficient row's closed paths as one array record, row p per canonical profile."""
+
+    flats: np.ndarray  # (P, 2r + 1) int: p's flat steps at level offsets 0..2r, all 0 if flat-free
+    count: np.ndarray  # (P,) object: p's c_l-weighted path count
+    below: np.ndarray  # (P, 2r + 1) object: p's ProfileWindows.below, 0 from depth kept[0, p] on
+    above: np.ndarray  # (P, 2r + 1) object: p's ProfileWindows.above, 0 from depth kept[1, p] on
+    kept: np.ndarray   # (2, P) int: histogram lengths, to the deepest cell even if it cancels
+
+    def windows(self) -> dict[tuple[tuple[int, int], ...], ProfileWindows]:
+        """The one dict view: profile pairs -> ProfileWindows, each histogram cut to its length."""
+        cols = (self.flats, self.count, self.below, self.above, *self.kept)
+        return {tuple((h, x) for h, x in enumerate(f) if x): ProfileWindows(c, tuple(b[:i]), tuple(a[:j]))
+                for f, c, b, a, i, j in zip(*(col.tolist() for col in cols))}
+
+
 @lru_cache(maxsize=None)
-def _profile_table(coeffs: tuple) -> dict[tuple[tuple[int, int], ...], ProfileWindows]:
+def _profile_table(coeffs: tuple) -> ProfileTable:
     """The closed paths of every length l <= K, weighted by c_l, grouped by canonical profile.
 
     One forward step DP, pruned to the levels that can still return to the
@@ -254,12 +261,14 @@ def _profile_table(coeffs: tuple) -> dict[tuple[tuple[int, int], ...], ProfileWi
     path's clipping on a chain depends on its profile and depths, not its
     length, so at the end the cells of all lengths add into depth histograms,
     each as long as its deepest cell even where the weights there cancel.
-    Keys are profile pairs.
+    The result is one :class:`ProfileTable` record in code order: the codes'
+    digits as its flat-count matrix, each count the sum of its below histogram,
+    and the histograms with their kept lengths.  ``windows`` is its one dict view.
     """
     last = len(coeffs) - 1
     _check_cap(last)
     r, base = max(last, 0) // 2, last + 1
-    w, cells = 2 * r + 1, []
+    w, cells = 2 * r + 1, [(np.zeros(0, dtype=object), *np.zeros((2, 0), dtype=np.int64))]
     digit = base ** np.arange(w, dtype=np.int64)
     level, (code, n) = np.array([r], dtype=np.int16), np.array([[0], [1]], dtype=np.int64)
     shape = (level * w + r) * w + r
@@ -280,18 +289,19 @@ def _profile_table(coeffs: tuple) -> dict[tuple[tuple[int, int], ...], ProfileWi
             depth = (low - s // w % w) * w + s % w - top  # below W + above
             m, key, depth = _merge(n[closed], flats // digit[low], depth)
             cells.append((m.astype(object) * c, key, depth))
-    if not cells:
-        return {}
     m, key, depth = (np.concatenate(col) for col in zip(*cells))
     keys, row = np.unique(key, return_inverse=True)
     hist, size = np.zeros((2, len(keys), w), dtype=object), np.zeros((2, len(keys)), dtype=np.int64)
     for side, d in enumerate((depth // w, depth % w)):  # below, above
         np.add.at(hist[side], (row, d), m)
         np.maximum.at(size[side], row, d)
-    counts = (keys[:, None] // digit % base).tolist()  # each profile's flats at offsets 0..2r
-    return {tuple((h, f) for h, f in enumerate(fs) if f):
-            ProfileWindows(sum(b), tuple(b[:nb + 1]), tuple(a[:na + 1]))
-            for fs, b, a, nb, na in zip(counts, *hist.tolist(), *size.tolist())}
+    return ProfileTable(flats=keys[:, None] // digit % base, count=hist[0].sum(axis=1),
+                        below=hist[0], above=hist[1], kept=size + 1)
+
+
+def profile_windows(k: int) -> dict[MultiIndex, ProfileWindows]:
+    """All canonical profiles of closed length-k paths with their depth histograms."""
+    return {MultiIndex(pairs): w for pairs, w in _profile_table(_unit_row(k)).windows().items()}
 
 
 def profile_counts(k: int) -> dict[MultiIndex, int]:
@@ -299,15 +309,11 @@ def profile_counts(k: int) -> dict[MultiIndex, int]:
     return {beta: w.count for beta, w in profile_windows(k).items()}
 
 
-def profile_windows(k: int) -> dict[MultiIndex, ProfileWindows]:
-    """All canonical profiles of closed length-k paths with their depth histograms."""
-    return {MultiIndex(pairs): w for pairs, w in _profile_table(_unit_row(k)).items()}
-
-
 def profile_count(k: int, beta: MultiIndex) -> int:
     """Number of closed length-k paths whose flat profile is (canonically) ``beta``."""
-    w = _profile_table(_unit_row(k)).get(beta.pairs)
-    return w.count if w else 0
+    table, row = _profile_table(_unit_row(k)), dict(beta.pairs)
+    hit = (table.flats == [row.get(h, 0) for h in range(table.flats.shape[1])]).all(axis=1)
+    return sum(table.count[hit]) if beta.span < table.flats.shape[1] else 0
 
 
 def single_flat_count(k: int) -> int:
@@ -332,8 +338,8 @@ def flat_weight_count(l: int, j: int) -> int:
     """Closed l-paths with exactly j flat steps, summed over all profiles."""
     if not 0 <= j <= l:
         raise ValueError("flat count j must satisfy 0 <= j <= l")
-    return sum(w.count for pairs, w in _profile_table(_unit_row(l)).items()
-               if sum(c for _, c in pairs) == j)
+    table = _profile_table(_unit_row(l))
+    return sum(table.count[table.flats.sum(axis=1) == j])
 
 
 def flat_weight_bound(l: int, j: int) -> int:

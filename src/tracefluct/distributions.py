@@ -76,15 +76,18 @@ class DistributionSpec:
     def variance(self) -> Number:
         return self.moment(2)
 
-    def counts_moment(self, counts) -> Number:
-        """The product of E[X^c] over ``counts``, taken in order; Fraction(0) if one vanishes."""
-        out: Number = Fraction(1)
-        for c in counts:
-            m = self.moment(c)
-            if m == 0:
-                return Fraction(0)
-            out = out * m
-        return out
+    def counts_moment(self, counts) -> Number | np.ndarray:
+        """The product of E[X^c] over the nonzero c along the last axis of the int array ``counts``,
+        taken in order from Fraction(1) and stopped where a factor vanishes: one number for a
+        sequence, an object column for a matrix of rows."""
+        rows = np.atleast_2d(np.asarray(counts, dtype=np.int64))
+        table = np.array([self.moment(m) for m in range(rows.max(initial=0) + 1)], dtype=object)
+        out, live, zero = np.full(len(rows), Fraction(1), dtype=object), np.ones(len(rows), bool), table == 0
+        for c in rows.T:
+            step = live & (c > 0)
+            out[step] *= table[c[step]]
+            live &= ~zero[c]
+        return out if np.ndim(counts) > 1 else out[0]
 
     # -- sampling ---------------------------------------------------------
 

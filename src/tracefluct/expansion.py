@@ -39,17 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import (
-    ProfileWindows,
-    _check_cap,
-    _profile_table,
-    _row_key,
-    _unit_row,
-)
+from .combinatorics import _check_cap, _profile_table, _row_key, _unit_row
 from .distributions import DistributionSpec
 from .series import AnalyticSeries
 
@@ -119,39 +112,26 @@ def power_partial_sum(n: int, j: int, alpha: float) -> float:
     return float(_power_sums(np.array([j * alpha]), n)[0][0])
 
 
-def _padded(rows, dtype=float) -> np.ndarray:
-    """``rows`` as one matrix, zero past the end of each."""
-    out = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=dtype)
-    for p, row in enumerate(rows):
-        out[p, :len(row)] = row
-    return out
-
-
 def _row_profiles(table, dist: DistributionSpec):
-    """(flats, terms, left, right): the profiles beta of ``table`` with flats and E[V^beta] != 0.
+    """(flats, count, moment, left, right) of the profiles beta with flats and E[V^beta] != 0.
 
-    Row p is the p-th such profile in table order: ``flats[p, h]`` counts its
-    flat steps at level offset h, and ``terms[p]`` is its (path count,
-    E[V^beta]), exact where the row and the law are.  A closed K-path spans
-    at most K/2 levels, so for N > 2K none leaves the chain at both ends,
-    and each edge clips a placement by its own distance alone:
-    ``left[p, i-1]`` counts the paths clipped with the lowest flat at site
-    i, the suffix sum of the below histogram from depth i, and
-    ``right[p, j]`` those clipped at site N - j, the suffix sum of the above
-    histogram from depth max(j - span(beta) + 1, 0).  Both are zero past
-    the window, which the depths and spans size, never the row's length.
+    Row p is the p-th such record row: its flat counts, path count and E[V^beta],
+    exact where the row and the law are.  A closed K-path spans at most K/2 levels,
+    so for N > 2K each edge clips a placement by its own distance alone:
+    ``left[p, i-1]`` counts the paths clipped with the lowest flat at site i, the
+    below histogram's suffix sum from depth i, and ``right[p, j]`` those clipped at
+    site N - j, the above histogram's suffix sum from depth max(j - span + 1, 0).
+    Both are zero past the window, which the kept depths and the spans size.
     """
-    moment = lru_cache(maxsize=None)(dist.counts_moment)
-    profiles = [(pairs, win, ex) for pairs, win in table.items()
-                if pairs and (ex := moment(tuple(c for _, c in pairs)))]
-    counts, left, right = [], [], []
-    for pairs, win, _ in profiles:
-        span, above = pairs[-1][0], [sum(win.above[d:]) for d in range(len(win.above))]
-        counts.append([dict(pairs).get(h, 0) for h in range(span + 1)])
-        left.append([sum(win.below[d:]) for d in range(1, len(win.below))])
-        right.append(above[:1] * span + above[1:])
-    terms = [(win.count, ex) for _, win, ex in profiles]
-    return _padded(counts, np.int64), terms, _padded(left), _padded(right)
+    moment = dist.counts_moment(table.flats)
+    keep = table.flats.any(axis=1) & (moment != 0)
+    flats, (below, above) = table.flats[keep], table.kept[:, keep]
+    span = flats.shape[1] - 1 - np.argmax(flats[:, ::-1] > 0, axis=1)
+    left, right = (np.cumsum(h[keep, ::-1], axis=1)[:, ::-1].astype(float)
+                   for h in (table.below, table.above))
+    depth = np.maximum(np.arange(max(span + above, default=1) - 1) - span[:, None] + 1, 0)
+    return (flats, table.count[keep], moment[keep], left[:, 1:max(below, default=1)],
+            np.take_along_axis(right, depth, axis=1))
 
 
 def _placed_weights(flats: np.ndarray, sites: np.ndarray, alpha: float) -> np.ndarray:
@@ -321,38 +301,37 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
         raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
     _check_row(coeffs, n)
     table = _profile_table(_row_key(coeffs))
-    free = table.get((), ProfileWindows(0, (), ()))
     top = len(coeffs) - 1
-    flats, terms, left, right = _row_profiles(table, dist)
-    powersum_coeffs = {j: 0 for j in range(1, top + 1)}
-    for j, (count, ex) in zip(flats.sum(axis=1).tolist(), terms):
-        powersum_coeffs[j] += count * ex
+    flats, count, moment, left, right = _row_profiles(table, dist)
+    powersum_coeffs = np.zeros(top + 1, dtype=object)
+    np.add.at(powersum_coeffs, flats.sum(axis=1), count * moment)
     orders = np.arange(1, top + 1)
-    c = np.array([float(cj) for cj in powersum_coeffs.values()])
+    c = powersum_coeffs[1:].astype(float)
     sums, sums_err = _power_sums(alpha * orders, n)
     m_cutoff = divergent_power_cutoff(alpha)
     beyond = orders[(orders > m_cutoff) & (c != 0)]  # the convergent orders that count
     limits = c[beyond - 1] * _power_sums(alpha * beyond, math.inf)[0]
     head = _placed_weights(flats, _HEAD_SITES, alpha)
-    scales = np.array([count * float(ex) for count, ex in terms])
+    moments = moment.astype(float)
+    scales = (count * moments).astype(float)
     placement, placement_limit, placement_err = _placement(flats, scales, head, alpha, n)
-    constant = float(-sum(d * m for hist in (free.below, free.above) for d, m in enumerate(hist)))
+    free = ~table.flats.any(axis=1)  # the flat-free profile, if the row has one
+    constant = float(-sum((table.below[free] + table.above[free]) @ np.arange(table.below.shape[1])))
     # (coefficient - path count) * E[V^beta] * weight over the clipped placements of each edge
-    moments = np.array([float(ex) for _, ex in terms])[:, None]
-    left = (-left * moments * head[:, :left.shape[1]]).ravel()
+    left = (-left * moments[:, None] * head[:, :left.shape[1]]).ravel()
     right_sites = n - np.arange(right.shape[1], dtype=float)
-    right = (-right * moments * _placed_weights(flats, right_sites, alpha)).ravel()
+    right = (-right * moments[:, None] * _placed_weights(flats, right_sites, alpha)).ravel()
     return ExpansionReport(
         kind=kind,
         label=label,
         n_sites=n,
         alpha=alpha,
         dist_name=dist.name,
-        linear_coeff=float(free.count),
+        linear_coeff=float(sum(table.count[free])),
         constant_coeff=constant,
         boundary=math.fsum(np.concatenate((left, right))),
         placement=placement,
-        powersum_coeffs={j: float(cj) for j, cj in powersum_coeffs.items()},
+        powersum_coeffs={j: float(cj) for j, cj in enumerate(c, start=1)},
         powersums={j: float(v) for j, v in enumerate(sums, start=1)},
         m_cutoff=m_cutoff,
         truncation_degree=top,

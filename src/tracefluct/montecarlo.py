@@ -208,18 +208,35 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 # ------------------------------------------------------- limiting variances
 
 
-def _lag_covariance_sum(beta, beta2, dist: DistributionSpec):
-    """sum over lags of Cov(X^beta, X^(beta2 + lag)), beta placed at 0, for (offset, count) pairs;
-    only lags at which the placements share a site count, exact for a law with rational moments."""
-    mean = dist.counts_moment(c for _, c in beta) * dist.counts_moment(c for _, c in beta2)
-    total = 0
-    first = dict(beta)
-    for lag in range(-beta2[-1][0], beta[-1][0] + 1):
-        second = {h + lag: c for h, c in beta2}
-        if not first.keys().isdisjoint(second):
-            levels = sorted(first.keys() | second.keys())
-            total += dist.counts_moment(first.get(h, 0) + second.get(h, 0) for h in levels) - mean
-    return total
+def _lag_merge(flats: np.ndarray):
+    """(p, q, groups, group): the triples (p, q, lag), in (lag, p, q) order, at which flat-count
+    row p at 0 and row q at lag share a site.  Triple t merges into row p plus row q shifted by
+    the lag, read from its lowest flat: ``groups[group[t]]``, the groups being distinct."""
+    s = int(np.flatnonzero(flats.any(axis=0)).max(initial=0))  # the widest span
+    flats = flats[:, :s + 1]
+    # placed[i, p]: the sites, as bits, of row p placed at lag i - s, so at site s for lag 0
+    placed = ((flats > 0) @ (1 << np.arange(s + 1))) << np.arange(2 * s + 1)[:, None]
+    lag, p, q = np.nonzero(placed[s, :, None] & placed[:, None, :])
+    t, h = np.arange(len(p))[:, None], np.arange(s + 1)
+    merged = np.zeros((len(p), 3 * s + 1), dtype=np.int8)  # no merged count exceeds 2 K <= 28
+    merged[t, s + h] = flats[p]
+    merged[t, lag[:, None] + h] += flats[q]
+    first = np.argmax(merged > 0, axis=1)[:, None]
+    merged = merged[t, first + np.arange(2 * s + 1)]
+    # np.unique over each row as one byte string: ~10x faster than over axis=0
+    groups, group = np.unique(merged.view(np.dtype((np.void, 2 * s + 1))).ravel(), return_inverse=True)
+    return p, q, groups.view(np.int8).reshape(-1, 2 * s + 1), group
+
+
+def _lag_covariance_sums(flats: np.ndarray, dist: DistributionSpec) -> np.ndarray:
+    """Entry (p, q): sum over lags of Cov(X^beta_p, X^(beta_q + lag)) for flat-count rows beta,
+    over the ``_lag_merge`` triples; each group's moment is read once, and each pair's terms
+    add in lag order, exact for a law with rational moments."""
+    p, q, groups, group = _lag_merge(flats)
+    mean = dist.counts_moment(flats)
+    out = np.zeros((len(flats), len(flats)), dtype=object)
+    np.add.at(out, (p, q), dist.counts_moment(groups)[group] - mean[p] * mean[q])
+    return out
 
 
 def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:
@@ -229,7 +246,7 @@ def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:
     as sum_n n^(-w alpha) Y_n, Y_n = sum_{|beta| = w} a_beta (X^beta - E X^beta)
     placed at site n; sigma^2 is its long-run variance, sum_{beta, beta'}
     a_beta a_beta' sum_lag Cov(X^beta, X^(beta' + lag)).  Each amplitude
-    a_beta = sum_l c_l (closed l-paths of profile beta) is one entry of the
+    a_beta = sum_l c_l (closed l-paths of profile beta) is one row's count in the
     row's profile table, which the ensemble centers read.  The one weight-1
     amplitude, of delta, is summed in closed form through the smallest K with
     tail_majorant(K, 3) <= ``_SIGMA_TAIL_TOL`` instead, since an infinite case A
@@ -237,18 +254,20 @@ def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:
     """
     w = LEADING_WEIGHT[series.case]
     if w == 1:
-        amplitudes = [(((0, 1),),
-                       series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL))]
+        flats = np.ones((1, 1), dtype=np.int64)
+        amplitudes = [series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL)]
     else:
         degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
         table = _profile_table(_row_key(series.coefficients_upto(degree)))
-        amplitudes = [(pairs, float(table[pairs].count))
-                      for pairs in sorted(table, key=lambda pairs: (len(pairs), pairs))
-                      if sum(c for _, c in pairs) == w]
+        # summed in profile order, fewest levels first
+        lead = sorted(np.flatnonzero(table.flats.sum(axis=1) == w).tolist(), key=lambda p: (
+            np.count_nonzero(table.flats[p]), [(h, c) for h, c in enumerate(table.flats[p]) if c]))
+        flats, amplitudes = table.flats[lead], [float(c) for c in table.count[lead]]
+    cov = _lag_covariance_sums(flats, dist)
     total = 0.0
-    for beta, a in amplitudes:
-        for beta2, a2 in amplitudes:
-            total += a * a2 * float(_lag_covariance_sum(beta, beta2, dist))
+    for p, a in enumerate(amplitudes):
+        for q, a2 in enumerate(amplitudes):
+            total += a * a2 * float(cov[p, q])
     return total
 
 

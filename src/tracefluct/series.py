@@ -26,6 +26,7 @@ coefficients are allowed anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -168,11 +169,23 @@ class AnalyticSeries:
             raise ValueError(f"a Cauchy estimate needs finite m >= 0 and rho > 0, got {m!r}, {rho!r}")
 
         def tail(k: int, x: float) -> float:
-            q = x / rho
+            q = math.nextafter(x / rho, math.inf) if x else 0.0  # >= x / rho; the tail grows with q
             if not 0.0 < q < 1.0 or m == 0.0:
                 return math.inf if q >= 1.0 else 0.0
-            # in log space, rounded up: q^(k+1) alone can underflow to 0.0 below the dropped terms
-            return math.nextafter(math.exp(math.log(m) + (k + 1) * math.log(q) - math.log1p(-q)), math.inf)
+            # In log space, as q^(k+1) alone can underflow to 0.0 below the dropped terms, and
+            # rounded up.  With log, log1p and exp faithful (under one ulp off), eps = 2^-52 and
+            # S = |A| + |B| + |C| over the exponent's terms, those come out within eps |A|,
+            # 1.51 eps |B|, eps |C| + 2^-1074, and the two additions add 2^-53 (1 + 3 eps) S each,
+            # so the exponent is off by D <= 2.52 eps S + 2^-1073: e^D <= 1 + 2.53 eps S + 2^-1072
+            # for S < 1e12.  Formed from the rounded terms, 1 + c (S + 4) eps with c = 3 is still
+            # >= 1 + 2.99 eps S + 11 eps, which covers e^D.  A faithful exp is at most one step
+            # below e^arg, so the inner nextafter gives >= e^arg; the outer rounds the product up.
+            terms = (math.log(m), (k + 1) * math.log(q), -math.log1p(-q))
+            arg = terms[0] + terms[1] + terms[2]
+            if arg > 709.78:  # e^arg is past the float range
+                return math.inf
+            grow = 1.0 + 3.0 * (sum(map(abs, terms)) + 4.0) * sys.float_info.epsilon
+            return math.nextafter(math.nextafter(math.exp(arg), math.inf) * grow, math.inf)
 
         return cls(label=label, radius=rho, case=case, coeff_fn=coeff_fn, tail_fn=tail)
 

@@ -17,12 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import (
-    MultiIndex,
-    enumerate_closed_paths,
-    profile_count,
-    profile_counts,
-)
+from .combinatorics import MultiIndex, enumerate_closed_paths, profile_counts
 from .distributions import DistributionSpec
 
 #: Default caps keeping the exhaustive expansion desk-scale.
@@ -205,7 +200,8 @@ def coefficient_identity_report(poly: TracePolynomial) -> InteriorIdentityReport
     """
     n_sites, k = poly.n_sites, poly.power
     report = InteriorIdentityReport(n_sites=n_sites, power=k)
-    for beta, count in profile_counts(k).items():
+    counts = profile_counts(k)
+    for beta, count in counts.items():
         if beta.weight == 0:
             continue
         for iota in range(1, n_sites - beta.span + 1):
@@ -221,10 +217,8 @@ def coefficient_identity_report(poly: TracePolynomial) -> InteriorIdentityReport
     # completeness: every stored monomial must be dominated by its path count
     for mono, coeff in poly.terms.items():
         beta = mono.profile()
-        if coeff > profile_count(k, beta):
-            report.boundary_violations.append(
-                (beta, mono.min_site, coeff, profile_count(k, beta))
-            )
+        if coeff > counts.get(beta, 0):
+            report.boundary_violations.append((beta, mono.min_site, coeff, counts.get(beta, 0)))
     return report
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from tracefluct.combinatorics import (
     MultiIndex,
     ProfileWindows,
     _profile_table,
+    _unit_row,
     closed_path_count,
     enumerate_closed_paths,
     flat_weight_bound,
@@ -224,19 +226,21 @@ INTEGER_ROWS = [(0,) * k + (1,) for k in range(15)] + [
 
 @pytest.mark.parametrize("row", INTEGER_ROWS, ids=str)
 def test_profile_table_matches_dict_dp_on_integer_rows(row):
-    table = _profile_table(row)
+    table = _profile_table(row).windows()
     assert table == dict_profile_table(row)
     for w in table.values():
         assert all(type(v) is int for v in (w.count, *w.below, *w.above))
 
 
 def test_profile_table_keeps_a_cancelled_depth():
-    assert _profile_table(CANCEL_ROW)[()] == ProfileWindows(0, (1, 0, -1), (1, 0, -1))
+    table = _profile_table(CANCEL_ROW).windows()
+    assert table == dict_profile_table(CANCEL_ROW)
+    assert table[()] == ProfileWindows(0, (1, 0, -1), (1, 0, -1))
 
 
 @pytest.mark.parametrize("row", [(0.5, 1, 1, -2, 2), (1e300, 0, 1)], ids=str)
 def test_profile_table_matches_dict_dp_on_float_rows(row):
-    table, want = _profile_table(row), dict_profile_table(row)
+    table, want = _profile_table(row).windows(), dict_profile_table(row)
     assert table.keys() == want.keys()
     for pairs, w in want.items():
         got = table[pairs]
@@ -247,12 +251,23 @@ def test_profile_table_matches_dict_dp_on_float_rows(row):
 
 @pytest.mark.parametrize("row", [(), (0, 0, 0)], ids=str)
 def test_profile_table_of_a_zero_row_is_empty(row):
-    assert _profile_table(row) == dict_profile_table(row) == {}
+    assert _profile_table(row).windows() == dict_profile_table(row) == {}
 
 
 def test_profile_table_refuses_past_the_cap():
     with pytest.raises(ValueError, match="cap of 14"):
         _profile_table((0,) * 15 + (1,))
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_profile_table_has_fibonacci_many_rows_with_flats(k):
+    # F_1 = F_2 = 1, ..., F_12 = 144, F_14 = 377
+    fib = [0, 1]
+    while len(fib) <= k:
+        fib.append(fib[-1] + fib[-2])
+    table = _profile_table(_unit_row(k))
+    assert np.count_nonzero(table.flats.any(axis=1)) == fib[k]
+    assert table.flats.shape[1] == 2 * (k // 2) + 1
 
 
 def test_profile_count_examples():

@@ -42,7 +42,7 @@ def direct_boundary_correction(n, k, alpha, dist):
     for beta, count in profile_counts(k).items():
         if beta.weight == 0:
             continue
-        ex = float(dist.counts_moment(c for _, c in beta.pairs))
+        ex = float(dist.counts_moment([c for _, c in beta.pairs]))
         if ex == 0:
             continue
         for iota in list(range(1, k)) + list(range(n - k + 1, n + 1)):
@@ -72,9 +72,9 @@ def table_entries(table):
 def test_row_table_is_linear_in_the_row(row):
     want = Counter()
     for l, c in enumerate(row):
-        for key, v in table_entries(_profile_table(_unit_row(l))):
+        for key, v in table_entries(_profile_table(_unit_row(l)).windows()):
             want[key] += c * v
-    got = {key: v for key, v in table_entries(_profile_table(row)) if v}
+    got = {key: v for key, v in table_entries(_profile_table(row).windows()) if v}
     assert got == pytest.approx({key: v for key, v in want.items() if v}, rel=1e-15)
 
 
@@ -84,7 +84,7 @@ def test_series_expansion_walks_the_row_once():
     series_expansion(f, 30, 0.2, uniform_sqrt3())
     assert _profile_table.cache_info().misses == 1
     # an integer-valued float row shares the integer row's cache entry: it must stay exact
-    assert all(type(w.count) is int for w in _profile_table(DEG12_ROW).values())
+    assert all(type(c) is int for c in _profile_table(DEG12_ROW).count)
 
 
 # ---------------------------------------------------------------- constants
@@ -146,9 +146,9 @@ def compensated_placement(row, n, alpha, dist):
     """Oracle: the placement correction from pow-built collapse defects, each summed by fsum."""
     i = np.arange(1, n + 1, dtype=float)
     parts = []
-    for pairs, win in _profile_table(row).items():
+    for pairs, win in _profile_table(row).windows().items():
         beta = MultiIndex(pairs)
-        ex = dist.counts_moment(c for _, c in pairs)
+        ex = dist.counts_moment([c for _, c in pairs])
         if len(pairs) <= 1 or ex == 0:
             continue
         placed = np.ones(n)

@@ -18,6 +18,7 @@ from tracefluct.combinatorics import (
     FLAT,
     MultiIndex,
     _profile_table,
+    _unit_row,
     enumerate_closed_paths,
     single_flat_count,
 )
@@ -26,6 +27,7 @@ from tracefluct.expansion import series_expansion
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
     EnsembleConfig,
+    _lag_covariance_sums,
     clt_check,
     convergence_check,
     joint_correlation,
@@ -306,6 +308,38 @@ def test_case_b_deg12_pinned(dist, fold, sigma_sq):
     assert (report.reconstructed_mean, report.remainder_limit, report.site_sum_error,
             report.boundary, report.placement) == fold
     assert sigma_sq_for(DEG12, dist) == sigma_sq
+
+
+def lag_covariance_sum(beta, beta2, dist):
+    """Oracle for ``_lag_covariance_sums``: sum over lags of Cov(X^beta, X^(beta2 + lag)), beta
+    placed at 0, for (offset, count) pairs, one Python dict per lag; only lags at which the
+    placements share a site count, exact for a law with rational moments."""
+    mean = dist.counts_moment([c for _, c in beta]) * dist.counts_moment([c for _, c in beta2])
+    total = 0
+    first = dict(beta)
+    for lag in range(-beta2[-1][0], beta[-1][0] + 1):
+        second = {h + lag: c for h, c in beta2}
+        if not first.keys().isdisjoint(second):
+            levels = sorted(first.keys() | second.keys())
+            total += dist.counts_moment([first.get(h, 0) + second.get(h, 0) for h in levels]) - mean
+    return total
+
+
+@pytest.mark.parametrize("dist", [rademacher(), uniform_sqrt3(), two_point(2, -1, Fraction(1, 3))],
+                         ids=["rad", "uni", "two-point"])
+def test_lag_merge_matches_the_dict_loop(dist):
+    # every pair of same-weight profiles of e_k at each leading weight, exact in Fractions
+    for k in range(1, 15):
+        table = _profile_table(_unit_row(k))
+        for w in sorted(set(LEADING_WEIGHT.values())):
+            flats = table.flats[table.flats.sum(axis=1) == w]
+            got = _lag_covariance_sums(flats, dist)
+            pairs = [tuple((h, c) for h, c in enumerate(f) if c) for f in flats.tolist()]
+            assert got.shape == (len(pairs), len(pairs))
+            for p, beta in enumerate(pairs):
+                for q, beta2 in enumerate(pairs):
+                    want = lag_covariance_sum(beta, beta2, dist)
+                    assert type(got[p, q]) is Fraction and got[p, q] == want
 
 
 def test_ensemble_and_variance_walk_the_row_once():

@@ -1,7 +1,9 @@
 """Series classification, truncation tails and radius checks."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -188,3 +190,21 @@ def test_cauchy_tail_dominates_random_coefficients(units, m, rho, share, k):
     value = math.fsum(coeff(j) * x**j for j in long)
     rounding = 1e-15 * math.fsum(abs(coeff(j) * x**j) for j in long)
     assert abs(s.evaluate(x) - value) <= 1e-17 + rounding
+
+
+def test_cauchy_tail_is_at_least_its_exact_value():
+    # m q^(k+1) / (1 - q) at the exact q = x / rho, in 200 bits, over seeded draws whose tails
+    # reach from past the float range down to subnormals and below
+    rng = random.Random(20260)
+    subnormal = 0
+    with mpmath.workprec(200):
+        for _ in range(20_000):
+            m, rho = 10.0 ** rng.uniform(-320.0, 300.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            share = 1.0 - 10.0 ** -rng.uniform(0.0, 16.0) if rng.random() < 0.5 else rng.random()
+            x, k = share * rho, rng.randrange(401)
+            got = AnalyticSeries.cauchy("c", lambda j: 0.0, m, rho, CASE_A).tail_majorant(k, x)
+            q = mpmath.mpf(x) / mpmath.mpf(rho)
+            want = mpmath.mpf(m) * q ** (k + 1) / (1 - q) if q < 1 else mpmath.inf
+            assert got >= want, (m, rho, x, k)
+            subnormal += 0 < want < 2.0 ** -1022
+    assert subnormal >= 500
