@@ -314,14 +314,17 @@ def lag_covariance_sum(beta, beta2, dist):
     """Oracle for ``_lag_covariance_sums``: sum over lags of Cov(X^beta, X^(beta2 + lag)), beta
     placed at 0, for (offset, count) pairs, one Python dict per lag; only lags at which the
     placements share a site count, exact for a law with rational moments."""
-    mean = dist.counts_moment([c for _, c in beta]) * dist.counts_moment([c for _, c in beta2])
+    def moment(counts):  # the law's moments alone, not the code under test
+        return math.prod(map(dist.moment, counts), start=Fraction(1))
+
+    mean = moment(c for _, c in beta) * moment(c for _, c in beta2)
     total = 0
     first = dict(beta)
     for lag in range(-beta2[-1][0], beta[-1][0] + 1):
         second = {h + lag: c for h, c in beta2}
         if not first.keys().isdisjoint(second):
             levels = sorted(first.keys() | second.keys())
-            total += dist.counts_moment([first.get(h, 0) + second.get(h, 0) for h in levels]) - mean
+            total += moment(first.get(h, 0) + second.get(h, 0) for h in levels) - mean
     return total
 
 
