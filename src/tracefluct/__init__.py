@@ -12,7 +12,6 @@ from .combinatorics import (
     flat_weight_count,
     profile_count,
     profile_counts,
-    profile_windows,
     same_level_pair_count,
     single_flat_count,
 )

@@ -184,24 +184,6 @@ def enumerate_closed_paths(k: int) -> Iterator[LatticePath]:
     yield from rec(0, k)
 
 
-@dataclass(frozen=True)
-class ProfileWindows:
-    """Closed paths of one canonical profile, counted by their reach past the flats.
-
-    ``below[d]`` counts the paths whose lowest level lies ``d`` levels
-    under their lowest flat step; ``above[d]`` counts those whose highest
-    level lies ``d`` levels over their highest flat step.  A flat-free
-    path measures both depths from the origin, so its level range is
-    their sum.  Placed on a finite chain, a path leaves it exactly when
-    one of these depths reaches past the edge, which is what clips the
-    edge-window coefficients.
-    """
-
-    count: int
-    below: tuple[int, ...]
-    above: tuple[int, ...]
-
-
 def _unit_row(k: int) -> tuple[int, ...]:
     """The coefficient row e_k of Tr H^k alone; its profile table counts closed k-paths exactly."""
     if k < 0:
@@ -230,19 +212,22 @@ def _merge(n, *cols):
 
 @dataclass(frozen=True)
 class ProfileTable:
-    """A coefficient row's closed paths as one array record, row p per canonical profile."""
+    """A coefficient row's closed paths as one array record, row p per canonical profile.
+
+    ``below[p, d]`` weighs the paths of profile p whose lowest level lies
+    ``d`` levels under their lowest flat step; ``above[p, d]`` those whose
+    highest level lies ``d`` levels over their highest flat step.  A
+    flat-free path measures both depths from the origin, so its level range
+    is their sum.  Placed on a finite chain, a path leaves it exactly when
+    one of these depths reaches past the edge, which is what clips the
+    edge-window coefficients.
+    """
 
     flats: np.ndarray  # (P, 2r + 1) int: p's flat steps at level offsets 0..2r, all 0 if flat-free
     count: np.ndarray  # (P,) object: p's c_l-weighted path count
-    below: np.ndarray  # (P, 2r + 1) object: p's ProfileWindows.below, 0 from depth kept[0, p] on
-    above: np.ndarray  # (P, 2r + 1) object: p's ProfileWindows.above, 0 from depth kept[1, p] on
+    below: np.ndarray  # (P, 2r + 1) object: p's depth-below histogram, 0 from depth kept[0, p] on
+    above: np.ndarray  # (P, 2r + 1) object: p's depth-above histogram, 0 from depth kept[1, p] on
     kept: np.ndarray   # (2, P) int: histogram lengths, to the deepest cell even if it cancels
-
-    def windows(self) -> dict[tuple[tuple[int, int], ...], ProfileWindows]:
-        """The one dict view: profile pairs -> ProfileWindows, each histogram cut to its length."""
-        cols = (self.flats, self.count, self.below, self.above, *self.kept)
-        return {tuple((h, x) for h, x in enumerate(f) if x): ProfileWindows(c, tuple(b[:i]), tuple(a[:j]))
-                for f, c, b, a, i, j in zip(*(col.tolist() for col in cols))}
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +248,7 @@ def _profile_table(coeffs: tuple) -> ProfileTable:
     each as long as its deepest cell even where the weights there cancel.
     The result is one :class:`ProfileTable` record in code order: the codes'
     digits as its flat-count matrix, each count the sum of its below histogram,
-    and the histograms with their kept lengths.  ``windows`` is its one dict view.
+    and the histograms with their kept lengths.
     """
     last = len(coeffs) - 1
     _check_cap(last)
@@ -299,14 +284,11 @@ def _profile_table(coeffs: tuple) -> ProfileTable:
                         below=hist[0], above=hist[1], kept=size + 1)
 
 
-def profile_windows(k: int) -> dict[MultiIndex, ProfileWindows]:
-    """All canonical profiles of closed length-k paths with their depth histograms."""
-    return {MultiIndex(pairs): w for pairs, w in _profile_table(_unit_row(k)).windows().items()}
-
-
 def profile_counts(k: int) -> dict[MultiIndex, int]:
     """All canonical profiles of closed length-k paths with their path counts."""
-    return {beta: w.count for beta, w in profile_windows(k).items()}
+    table = _profile_table(_unit_row(k))
+    return {MultiIndex(tuple((h, x) for h, x in enumerate(f) if x)): c
+            for f, c in zip(table.flats.tolist(), table.count.tolist())}
 
 
 def profile_count(k: int, beta: MultiIndex) -> int:

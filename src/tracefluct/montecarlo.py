@@ -57,8 +57,12 @@ class EnsembleConfig:
     base_seed: int
     tail_tol: float = 1e-9
     workers: int = 1
+    case: str = field(init=False)  # the functions' one fluctuation case
+    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)  # each c_0..c_K
+    tails: tuple[float, ...] = field(init=False, repr=False, compare=False)  # at the largest N
 
     def __post_init__(self) -> None:
+        """Refuse a run that cannot finish before any of it starts, and fix its truncations."""
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.functions:
@@ -74,12 +78,19 @@ class EnsembleConfig:
             raise ValueError("worker count must be >= 0 (0 = all usable cores)")
         if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid, default=0) < 2:
             raise ValueError("the size grid must be strictly increasing with N >= 2")
-
-    def resolved_case(self) -> str:
         cases = {f.case for f in self.functions}
         if len(cases) != 1:
             raise ValueError(f"test functions mix fluctuation cases {sorted(cases)}")
-        return cases.pop()
+        truncations = [_truncate(f, self.dist, self.tail_tol, self.n_grid[-1]) for f in self.functions]
+        rows = tuple(tuple(coeffs) for coeffs, _ in truncations)
+        for row in rows:
+            _check_row(row, self.n_grid[0])  # the smallest size
+        # |V| <= the law's bound, so this certifies every replica's kernel; each replica's
+        # kernel takes the bound too, and never scans its potential
+        _check_power_bound(self.n_grid[-1], self.dist.bound, max(len(row) - 1 for row in rows))
+        object.__setattr__(self, "case", cases.pop())
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "tails", tuple(tail for _, tail in truncations))
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +100,7 @@ class EnsembleConfig:
             "n_grid": list(self.n_grid),
             "replicas": self.replicas,
             "base_seed": self.base_seed,
-            "case": self.resolved_case(),
+            "case": self.case,
             "tail_tol": self.tail_tol,
             "workers": self.workers,
         }
@@ -100,7 +111,6 @@ class EnsembleResult:
     """Raw traces, exact centers and normalised fluctuations of a run."""
 
     config: EnsembleConfig
-    case: str
     alpha_c: float
     f_labels: tuple[str, ...]
     n_grid: tuple[int, ...]
@@ -152,22 +162,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     fixed fold in replica order, and the output is identical for any
     worker count.
     """
-    case = config.resolved_case()
-    truncations = [_truncate(f, config.dist, config.tail_tol, config.n_grid[-1])
-                   for f in config.functions]
-    coeff_rows = tuple(tuple(coeffs) for coeffs, _ in truncations)
-    for row in coeff_rows:
-        _check_row(row, config.n_grid[0])  # the smallest size, before any sample is drawn
-    # |V| <= the law's bound, so this certifies every replica's kernel before any work;
-    # each replica's kernel takes the bound too, and never scans its potential
-    _check_power_bound(config.n_grid[-1], config.dist.bound,
-                       max(len(row) - 1 for row in coeff_rows))
-
     seeds = [derive_seed(config.base_seed, r) for r in range(config.replicas)]
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = config.workers or usable
     if workers <= 1 or config.replicas <= 1:
-        results = [_replica_traces(config.alpha, config.dist, coeff_rows, config.n_grid, seeds)]
+        results = [_replica_traces(config.alpha, config.dist, config.rows, config.n_grid, seeds)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~18 ms of imports a serial run skips
 
@@ -176,7 +175,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         # a fork pool starts every worker at the first submit: one process per block
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             futures = [
-                pool.submit(_replica_traces, config.alpha, config.dist, coeff_rows,
+                pool.submit(_replica_traces, config.alpha, config.dist, config.rows,
                             config.n_grid, block)
                 for block in blocks
             ]
@@ -185,13 +184,12 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 
     t0 = time.perf_counter()
     folds = [[_fold(row, n, config.alpha, config.dist, f.label) for n in config.n_grid]
-             for f, row in zip(config.functions, coeff_rows)]
+             for f, row in zip(config.functions, config.rows)]
     centers = np.array([[rep.reconstructed_mean for rep in reps] for reps in folds])
     center_s = time.perf_counter() - t0
     return EnsembleResult(
         config=config,
-        case=case,
-        alpha_c=ALPHA_CRITICAL[case],
+        alpha_c=ALPHA_CRITICAL[config.case],
         f_labels=tuple(f.label for f in config.functions),
         n_grid=tuple(config.n_grid),
         raw=np.concatenate(raws, axis=0),
@@ -199,8 +197,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         center_s=center_s,
         sample_s=sum(sample_times),
         trace_s=sum(trace_times),
-        degrees=tuple(len(row) - 1 for row in coeff_rows),
-        tails=tuple(tail for _, tail in truncations),
+        degrees=tuple(len(row) - 1 for row in config.rows),
+        tails=config.tails,
         site_sum_errors=tuple(max(rep.site_sum_error for rep in reps) for reps in folds),
     )
 
@@ -230,13 +228,15 @@ def _lag_merge(flats: np.ndarray):
 
 def _lag_covariance_sums(flats: np.ndarray, dist: DistributionSpec) -> np.ndarray:
     """Entry (p, q): sum over lags of Cov(X^beta_p, X^(beta_q + lag)) for flat-count rows beta,
-    over the ``_lag_merge`` triples; each group's moment is read once, and each pair's terms
-    add in lag order, exact for a law with rational moments."""
+    over the ``_lag_merge`` triples; each group's moment is read once, each pair's moments
+    add in lag order, and E X^beta_p E X^beta_q times the pair's lag count comes off once,
+    exact for a law with rational moments."""
     p, q, groups, group = _lag_merge(flats)
     mean = dist.counts_moment(flats)
-    out = np.zeros((len(flats), len(flats)), dtype=object)
-    np.add.at(out, (p, q), dist.counts_moment(groups)[group] - mean[p] * mean[q])
-    return out
+    out, lags = np.zeros((len(flats), len(flats)), dtype=object), np.zeros((len(flats),) * 2, int)
+    np.add.at(out, (p, q), dist.counts_moment(groups)[group])
+    np.add.at(lags, (p, q), 1)
+    return out - lags * np.outer(mean, mean)
 
 
 def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:

@@ -58,6 +58,22 @@ def _exponential_coefficient(rate: float, j: int) -> float:
     return -mag if (rate < 0 and j % 2 == 1) else mag
 
 
+def _exp_rounded_up(terms: tuple[float, ...]) -> float:
+    """e^(t_1 + .. + t_n) rounded up, n = 3 or 4, from terms within 1.51 eps |t_i| + 2^-1074.
+
+    With eps = 2^-52 and S = |t_1| + .. + |t_n|, the n - 1 additions add 2^-53 (1 + 3 eps) S each,
+    so the exponent is off by D <= (n/2 + 1.02) eps S + 2^-1072: e^D <= 1 + (n/2 + 1.03) eps S
+    + 2^-1071 for S < 1e12.  Formed from the rounded terms, 1 + n (S + 4) eps is still
+    >= 1 + 0.99 n eps S + 11 eps, which covers e^D for n >= 3.  A faithful exp is at most one
+    step below e^arg, so the inner nextafter gives >= e^arg; the outer rounds the product up.
+    """
+    arg, size = sum(terms), sum(map(abs, terms))
+    if arg > 709.78 or size >= 1e12:  # e^arg is past the float range, or S past the proof's
+        return math.inf
+    grow = 1.0 + len(terms) * (size + 4.0) * sys.float_info.epsilon
+    return math.nextafter(math.nextafter(math.exp(arg), math.inf) * grow, math.inf)
+
+
 def classify_polynomial(coeffs: Sequence[float]) -> str:
     """Fluctuation case of a polynomial from its coefficient pattern."""
     odd = [c for j, c in enumerate(coeffs) if j % 2 == 1]
@@ -124,18 +140,18 @@ class AnalyticSeries:
         )
 
     @classmethod
-    def monomial(cls, power: int, scale: float = 1.0) -> "AnalyticSeries":
-        coeffs = [0.0] * power + [scale]
-        return cls.polynomial(coeffs, label=f"{scale:g}*x^{power}" if scale != 1.0 else f"x^{power}")
+    def monomial(cls, power: int) -> "AnalyticSeries":
+        return cls.polynomial([0.0] * power + [1.0], label=f"x^{power}")
 
     @classmethod
     def exponential(cls, rate: float, label: str | None = None) -> "AnalyticSeries":
         """exp(rate*x); entire, so any operator bound is admissible.
 
         With t_j = |c_j| x^j and q = |rate| x / (k + 2), every ratio t_j / t_{j-1} =
-        |rate| x / j for j >= k + 3 is at most q, so the tail past k is at most
-        t_{k+1} + t_{k+2} + t_{k+2} q / (1 - q) when q < 1.  A term whose x^j
-        leaves the float range is |(rate x)^j / j!|, formed in log space.
+        |rate| x / j for j >= k + 2 is at most q, so the tail past k is at most
+        t_(k+1) / (1 - q) when q < 1.  It is formed in log space, as t_(k+1) alone can
+        underflow to 0.0 above the dropped terms, and rounded up: q from above, log (k+1)!
+        as an fsum of faithful logs, so each term is within 1.51 eps of its value.
         """
         if not math.isfinite(rate):
             raise ValueError(f"exp rate must be finite, got {rate!r}")
@@ -143,18 +159,14 @@ class AnalyticSeries:
         def coeff(j: int) -> float:
             return _exponential_coefficient(rate, j)
 
-        def term(j: int, x: float) -> float:
-            try:
-                return abs(coeff(j)) * x**j
-            except OverflowError:
-                return abs(_exponential_coefficient(rate * x, j))
-
         def tail(k: int, x: float) -> float:
-            q = abs(rate) * x / (k + 2)
-            if q >= 1.0:
+            if rate == 0.0 or x == 0.0:
+                return 0.0
+            q = math.nextafter(math.nextafter(abs(rate) * x, math.inf) / (k + 2), math.inf)
+            if not q < 1.0:
                 return math.inf
-            first, second = term(k + 1, x), term(k + 2, x)
-            return (first + second) + second * q / (1.0 - q)
+            return _exp_rounded_up(((k + 1) * math.log(abs(rate)), (k + 1) * math.log(x),
+                                    -math.fsum(map(math.log, range(2, k + 2))), -math.log1p(-q)))
 
         return cls(label=label or f"exp({rate:g}x)", radius=math.inf, case=CASE_A,
                    coeff_fn=coeff, tail_fn=tail)
@@ -172,20 +184,9 @@ class AnalyticSeries:
             q = math.nextafter(x / rho, math.inf) if x else 0.0  # >= x / rho; the tail grows with q
             if not 0.0 < q < 1.0 or m == 0.0:
                 return math.inf if q >= 1.0 else 0.0
-            # In log space, as q^(k+1) alone can underflow to 0.0 below the dropped terms, and
-            # rounded up.  With log, log1p and exp faithful (under one ulp off), eps = 2^-52 and
-            # S = |A| + |B| + |C| over the exponent's terms, those come out within eps |A|,
-            # 1.51 eps |B|, eps |C| + 2^-1074, and the two additions add 2^-53 (1 + 3 eps) S each,
-            # so the exponent is off by D <= 2.52 eps S + 2^-1073: e^D <= 1 + 2.53 eps S + 2^-1072
-            # for S < 1e12.  Formed from the rounded terms, 1 + c (S + 4) eps with c = 3 is still
-            # >= 1 + 2.99 eps S + 11 eps, which covers e^D.  A faithful exp is at most one step
-            # below e^arg, so the inner nextafter gives >= e^arg; the outer rounds the product up.
-            terms = (math.log(m), (k + 1) * math.log(q), -math.log1p(-q))
-            arg = terms[0] + terms[1] + terms[2]
-            if arg > 709.78:  # e^arg is past the float range
-                return math.inf
-            grow = 1.0 + 3.0 * (sum(map(abs, terms)) + 4.0) * sys.float_info.epsilon
-            return math.nextafter(math.nextafter(math.exp(arg), math.inf) * grow, math.inf)
+            # in log space, as q^(k+1) alone can underflow to 0.0 below the dropped terms; with
+            # log and log1p faithful, the terms are within eps, 1.51 eps and eps + 2^-1074
+            return _exp_rounded_up((math.log(m), (k + 1) * math.log(q), -math.log1p(-q)))
 
         return cls(label=label, radius=rho, case=case, coeff_fn=coeff_fn, tail_fn=tail)
 

@@ -363,6 +363,20 @@ def test_simulate_rejects_repeated_function(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--f", "exp:1", "--n-grid", "100"], "cap of 14"),
+    (["--f", "poly:0,1", "--f", "poly:0,0,1", "--n-grid", "100"], "mix"),
+    (["--f", "poly:0,0,0,0,1", "--n-grid", "8"], "N > 2k"),
+], ids=["past-the-cap", "mixed-cases", "small-n"])
+def test_simulate_rejects_an_infeasible_run(tmp_path, capsys, flags, message):
+    # the configuration refuses every run it cannot finish before the output directory is made
+    out = tmp_path / "out"
+    code, _, err = run_cli(["simulate", *flags, "--alpha", "0.3", "--replicas", "2", "--seed", "1",
+                            "--out", str(out)], capsys)
+    assert code == 2 and message in err
+    assert not out.exists()
+
+
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

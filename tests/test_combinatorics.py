@@ -15,7 +15,6 @@ from tracefluct.combinatorics import (
     UP,
     LatticePath,
     MultiIndex,
-    ProfileWindows,
     _profile_table,
     _unit_row,
     closed_path_count,
@@ -24,7 +23,6 @@ from tracefluct.combinatorics import (
     flat_weight_count,
     profile_count,
     profile_counts,
-    profile_windows,
     same_level_pair_count,
     single_flat_count,
 )
@@ -75,11 +73,18 @@ def dict_profile_table(coeffs):
         below[base - lo] += n
         above[hi - top] += n
     return {
-        key: ProfileWindows(sum(below.values()),
-                            tuple(below[d] for d in range(max(below) + 1)),
-                            tuple(above[d] for d in range(max(above) + 1)))
+        key: (sum(below.values()),
+              tuple(below[d] for d in range(max(below) + 1)),
+              tuple(above[d] for d in range(max(above) + 1)))
         for key, (below, above) in depths.items()
     }
+
+
+def record_rows(table):
+    """A profile-table record as {profile pairs: (count, below, above)}, histograms cut to length."""
+    cols = (table.flats, table.count, table.below, table.above, *table.kept)
+    return {tuple((h, x) for h, x in enumerate(f) if x): (c, tuple(b[:i]), tuple(a[:j]))
+            for f, c, b, a, i, j in zip(*(col.tolist() for col in cols))}
 
 
 # ---------------------------------------------------------------- MultiIndex
@@ -201,12 +206,12 @@ def test_profile_windows_match_brute_force(k):
         ys, flats = p.levels(), p.flat_levels() or (0,)
         below[p.flat_profile(), min(flats) - min(ys)] += 1
         above[p.flat_profile(), max(ys) - max(flats)] += 1
-    windows = profile_windows(k)
-    assert {beta: w.count for beta, w in windows.items()} == brute_force_profile_counts(k)
-    for beta, w in windows.items():
-        assert w.below == tuple(below[beta, d] for d in range(len(w.below)))
-        assert w.above == tuple(above[beta, d] for d in range(len(w.above)))
-        assert w.below[-1] and w.above[-1]
+    rows = {MultiIndex(pairs): w for pairs, w in record_rows(_profile_table(_unit_row(k))).items()}
+    assert {beta: count for beta, (count, _, _) in rows.items()} == brute_force_profile_counts(k)
+    for beta, (_, got_below, got_above) in rows.items():
+        assert got_below == tuple(below[beta, d] for d in range(len(got_below)))
+        assert got_above == tuple(above[beta, d] for d in range(len(got_above)))
+        assert got_below[-1] and got_above[-1]
     assert sum(below.values()) == sum(above.values()) == closed_path_count(k)
 
 
@@ -226,32 +231,32 @@ INTEGER_ROWS = [(0,) * k + (1,) for k in range(15)] + [
 
 @pytest.mark.parametrize("row", INTEGER_ROWS, ids=str)
 def test_profile_table_matches_dict_dp_on_integer_rows(row):
-    table = _profile_table(row).windows()
+    table = record_rows(_profile_table(row))
     assert table == dict_profile_table(row)
-    for w in table.values():
-        assert all(type(v) is int for v in (w.count, *w.below, *w.above))
+    for count, below, above in table.values():
+        assert all(type(v) is int for v in (count, *below, *above))
 
 
 def test_profile_table_keeps_a_cancelled_depth():
-    table = _profile_table(CANCEL_ROW).windows()
+    table = record_rows(_profile_table(CANCEL_ROW))
     assert table == dict_profile_table(CANCEL_ROW)
-    assert table[()] == ProfileWindows(0, (1, 0, -1), (1, 0, -1))
+    assert table[()] == (0, (1, 0, -1), (1, 0, -1))
 
 
 @pytest.mark.parametrize("row", [(0.5, 1, 1, -2, 2), (1e300, 0, 1)], ids=str)
 def test_profile_table_matches_dict_dp_on_float_rows(row):
-    table, want = _profile_table(row).windows(), dict_profile_table(row)
+    table, want = record_rows(_profile_table(row)), dict_profile_table(row)
     assert table.keys() == want.keys()
-    for pairs, w in want.items():
-        got = table[pairs]
-        assert len(got.below) == len(w.below) and len(got.above) == len(w.above)
-        for a, b in zip((got.count, *got.below, *got.above), (w.count, *w.below, *w.above)):
+    for pairs, (count, below, above) in want.items():
+        got_count, got_below, got_above = table[pairs]
+        assert len(got_below) == len(below) and len(got_above) == len(above)
+        for a, b in zip((got_count, *got_below, *got_above), (count, *below, *above)):
             assert math.isclose(a, b, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("row", [(), (0, 0, 0)], ids=str)
 def test_profile_table_of_a_zero_row_is_empty(row):
-    assert _profile_table(row).windows() == dict_profile_table(row) == {}
+    assert record_rows(_profile_table(row)) == dict_profile_table(row) == {}
 
 
 def test_profile_table_refuses_past_the_cap():

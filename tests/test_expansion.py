@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from test_combinatorics import record_rows
 from tracefluct.combinatorics import MultiIndex, _profile_table, _unit_row, profile_counts
 from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
 from tracefluct.expansion import (
@@ -59,8 +60,8 @@ DEG12_ROW = (0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
 
 def table_entries(table):
     """Yield ((profile pairs, field, depth), value) over a profile table's counts and histograms."""
-    for pairs, w in table.items():
-        for field, hist in (("count", (w.count,)), ("below", w.below), ("above", w.above)):
+    for pairs, (count, below, above) in record_rows(table).items():
+        for field, hist in (("count", (count,)), ("below", below), ("above", above)):
             for d, v in enumerate(hist):
                 yield (pairs, field, d), v
 
@@ -72,9 +73,9 @@ def table_entries(table):
 def test_row_table_is_linear_in_the_row(row):
     want = Counter()
     for l, c in enumerate(row):
-        for key, v in table_entries(_profile_table(_unit_row(l)).windows()):
+        for key, v in table_entries(_profile_table(_unit_row(l))):
             want[key] += c * v
-    got = {key: v for key, v in table_entries(_profile_table(row).windows()) if v}
+    got = {key: v for key, v in table_entries(_profile_table(row)) if v}
     assert got == pytest.approx({key: v for key, v in want.items() if v}, rel=1e-15)
 
 
@@ -146,7 +147,7 @@ def compensated_placement(row, n, alpha, dist):
     """Oracle: the placement correction from pow-built collapse defects, each summed by fsum."""
     i = np.arange(1, n + 1, dtype=float)
     parts = []
-    for pairs, win in _profile_table(row).windows().items():
+    for pairs, (count, _, _) in record_rows(_profile_table(row)).items():
         beta = MultiIndex(pairs)
         ex = dist.counts_moment([c for _, c in pairs])
         if len(pairs) <= 1 or ex == 0:
@@ -154,7 +155,7 @@ def compensated_placement(row, n, alpha, dist):
         placed = np.ones(n)
         for h, c in pairs:
             placed = placed * (i + h) ** (-alpha * c)
-        parts.append(win.count * float(ex) * math.fsum(placed - i ** (-alpha * beta.weight)))
+        parts.append(count * float(ex) * math.fsum(placed - i ** (-alpha * beta.weight)))
     return math.fsum(parts)
 
 

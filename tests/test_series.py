@@ -132,9 +132,10 @@ def test_sinh_value_skips_zero_coefficients():
     (1.0, 25, 7.090651135736272e-10),
 ])
 def test_exponential_truncation_pins(rate, degree, tail):
-    # a series without zero coefficients keeps its truncation bit for bit
+    # a series without zero coefficients keeps its truncation degree bit for bit; its tail, now
+    # rounded up, lies at or above the round-to-nearest value pinned here and within 1e-12 of it
     coeffs, got = AnalyticSeries.exponential(rate).truncate(1.0, 1e-9, 1e5)
-    assert (len(coeffs) - 1, got) == (degree, tail)
+    assert len(coeffs) - 1 == degree and tail <= got <= tail * (1 + 1e-12)
 
 
 def test_numerically_finite_series_sums_exactly():
@@ -142,7 +143,8 @@ def test_numerically_finite_series_sums_exactly():
     assert AnalyticSeries.exponential(0.0).evaluate(2.0) == 1.0
     assert AnalyticSeries.exponential(0.0).tail_majorant(0, 12.0) == 0.0
     tiny = AnalyticSeries.exponential(1e-200)
-    assert tiny.tail_majorant(0, 3.0) == tiny.coefficient(1) * 3.0
+    first = tiny.coefficient(1) * 3.0  # the rest underflows; the tail rounds up past it
+    assert first <= tiny.tail_majorant(0, 3.0) <= first * (1 + 1e-12)
 
 
 def test_value_certified_inside_the_radius():
@@ -208,3 +210,23 @@ def test_cauchy_tail_is_at_least_its_exact_value():
             assert got >= want, (m, rho, x, k)
             subnormal += 0 < want < 2.0 ** -1022
     assert subnormal >= 500
+
+
+def test_exponential_tail_is_at_least_its_exact_value():
+    # t_(k+1) / (1 - q) at the exact q = |rate| x / (k + 2), in 200 bits, over seeded draws whose
+    # tails reach from past the float range down to subnormals and below; the first draw's
+    # t_(k+1) underflowed to 0.0 when it was formed as a product
+    rng = random.Random(20261)
+    draws = [(0.8455218009140536, 24.728568551218544, 182)] + [
+        (math.copysign(10.0 ** rng.uniform(-3.0, 1.5), rng.random() - 0.5),
+         10.0 ** rng.uniform(-2.0, 1.5), rng.randrange(201)) for _ in range(20_000)]
+    subnormal = 0
+    with mpmath.workprec(200):
+        for rate, x, k in draws:
+            got = AnalyticSeries.exponential(rate).tail_majorant(k, x)
+            p = abs(mpmath.mpf(rate)) * mpmath.mpf(x)
+            q = p / (k + 2)
+            want = p ** (k + 1) / mpmath.factorial(k + 1) / (1 - q) if q < 1 else mpmath.inf
+            assert got >= want, (rate, x, k)
+            subnormal += 2.0 ** -1074 <= want < 2.0 ** -1022
+    assert subnormal >= 200
