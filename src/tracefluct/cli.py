@@ -298,8 +298,8 @@ def cmd_simulate(args) -> int:
         "write_s": time.perf_counter() - t_ensemble - reports_s,
         "replicas_per_s": config.replicas / ensemble_s,
     }, {
-        **{f"degree:{f}": k for f, k in zip(result.f_labels, result.degrees)},
-        **{f"tail:{f}": tail for f, tail in zip(result.f_labels, result.tails)},
+        **{f"degree:{f}": len(row) - 1 for f, row in zip(result.f_labels, config.rows)},
+        **{f"tail:{f}": tail for f, tail in zip(result.f_labels, config.tails)},
         **{f"site_sum_error:{f}": err for f, err in zip(result.f_labels, result.site_sum_errors)},
     })
     print(f"wrote {out_dir}/samples.csv and reports")

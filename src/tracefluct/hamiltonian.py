@@ -9,12 +9,14 @@ site), so the first N values of a sample are identical for every larger
 size drawn from the same seed.  That prefix stability is what lets one
 realisation be followed across a growing size grid.
 
-Traces of powers are read off banded powers H^1 .. H^ceil(k/2) that are
-built for a fixed number of rows at a time, and a replica's sites are
-drawn chunk by chunk as well, so it needs O(_CHUNK * k) memory at any N.
-A low power's trace is the sum of its diagonal band, a high power's pairs
-two half powers, and no band whose entries are known is built: H^1 is
-the potential itself, and the top band of every power is all ones.
+Tr H, Tr H^2 and Tr H^3 are site power sums S_c = sum_{i<=n} V_i^c plus
+edge terms, S_1, S_2 + 2(n-1) and S_3 + 6 S_1 - 3(V_1 + V_n), as a closed
+path of p <= 3 steps keeps its flat steps on one site.  A power p >= 4 is
+read off banded powers up to H^ceil(p_max/2), built for a fixed number of
+rows at a time; a replica's sites are drawn chunk by chunk as well, so it
+needs O(_CHUNK * k) memory at any N.  No band whose entries are known is
+built: H^1 is the potential itself, and the top band of every power is
+all ones.
 
 The replica pass takes coefficient rows (c_0, ..., c_K) in and gives each
 replica's traces sum_j c_j Tr H^j at every grid size out, summing only the
@@ -93,15 +95,18 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     """[Tr H^0, ..., Tr H^k_max]: the `_grid_traces` of the unit rows e_0 .. e_k_max at the
     sample's own size, each trace a row's one term 1 * Tr H^p.
 
-    Only H^1 .. H^top, top = ceil(k_max/2), are formed.  For p <= top,
-    Tr H^p is the sum of the diagonal band of H^p; above it, Tr H^(a+b) =
+    Tr H, Tr H^2 and Tr H^3 are S_1, S_2 + 2(n-1) and S_3 + 6 S_1 - 3(V_1 + V_n),
+    S_c = sum_i V_i^c: one pass per site sum.  For k_max >= 4, only H^1 ..
+    H^top, top = ceil(k_max/2), are formed.  For 4 <= p <= top, Tr H^p is the
+    sum of the diagonal band of H^p; above it, Tr H^(a+b) =
     sum_d w_d <(H^a)_d, (H^b)_d> over the upper bands d (w_0 = 1, w_d = 2),
     with a = ceil(p/2) and b = floor(p/2).  H^1 is read off the potential,
     and the top band of every power, (H^a)_{i,i+a} = 1, is never stored:
     a read of it is a scalar add, a product with it a plain sum.  That is
-    about 3 top^2/2 array passes of band updates plus
-    top + sum_{top < p <= k_max} ceil(p/2) reductions per site: 7 passes in
-    all at k_max = 3, and 85 at k_max = 12.
+    3 site-sum passes plus, for k_max >= 4, about 3 top^2/2 array passes of
+    band updates, one reduction per diagonal band (4 <= p <= top) and
+    ceil(p/2) per pair (p > max(top, 3)): 3 passes in all at k_max = 3
+    (7 with bands), and 85 at k_max = 12.
     The bands are built chunk by chunk, so beyond the input they take
     O(_CHUNK * k_max) memory.
 
@@ -204,6 +209,17 @@ def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, .
     return per_band[..., 0] + 2.0 * per_band[..., 1:].sum(axis=-1)
 
 
+def _site_sums(w: np.ndarray, cuts: tuple[int, ...], low: frozenset[int], k_max: int) -> np.ndarray:
+    """S_c = sum_i w_i^c over each row range [cuts[r], cuts[r+1]) of w, in row r and column c,
+    for each c in ``low``; the other columns are 0.  BLAS-free, as `_chain_sums` is."""
+    sums = np.zeros((len(cuts) - 1, k_max + 1))
+    for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        x = w[start:stop]
+        for c in low:
+            sums[r, c] = x.sum() if c == 1 else np.einsum(",".join("i" * c) + "->", *[x] * c)
+    return sums
+
+
 def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
                  bands: np.ndarray | None = None, bound: float | None = None) -> np.ndarray:
     """Tr f(H) of every coefficient row (c_0, ..., c_K) at every prefix size in one pass:
@@ -215,8 +231,9 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
     an optional `_band_buffer` of the rows for ``v.size`` sites, reused between calls.
     ``bound`` is a known bound on |V| (a law's support), certified against
     overflow in place of a scan of ``v`` for its largest magnitude.
-    Bands are built up to the rows' top power k_max, but Tr H^p is summed
-    only for a p that some row uses.
+    Tr H^p is summed only for a p that some row uses: for p <= 3 from site
+    sums (see `trace_moments`), and for p >= 4 by `_chain_sums`, whose bands
+    go up to half the highest such p, so rows with no power >= 4 build none.
 
     With rows counted from 0, the row terms of Tr H^p (see `_chain_sums`)
     depend only on the sites within top = ceil(k_max/2) of the row: the
@@ -231,7 +248,7 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] > v.size):
         raise ValueError(f"sizes {sizes} must be strictly increasing and at most {v.size}")
     k_max = max((len(row) - 1 for row in rows), default=0)
-    moments = np.zeros((len(sizes), k_max + 1))  # Tr H^p, left 0 for a p no row uses
+    moments = np.zeros((len(sizes), k_max + 1))  # Tr H^p; 0 for a p no row uses (Tr H^3 fills Tr H)
     moments[:, 0] = sizes
     if k_max:
         if bound is None:
@@ -241,19 +258,36 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
         if bands is None:
             bands = _band_buffer(rows, v.size)
         powers = frozenset(j for row in rows for j, c in enumerate(row) if c != 0.0)
+        low = powers & {1, 2, 3} | ({1} if 3 in powers else set())  # Tr H^3 needs S_1
+        high = powers - {0, 1, 2, 3}
+
+        def window_sums(w, cuts):
+            sums = _site_sums(w, cuts, low, k_max)
+            if high:
+                sums[:, :max(high) + 1] += _chain_sums(w, max(high), bands, cuts, high)
+            return sums
+
         running = np.zeros(k_max + 1)
         start = 0  # rows [0, start) of every later size are in running
         for moment, n in zip(moments, sizes):
             while n - start > _CHUNK + top:
                 lo = max(start - top, 0)
                 stop = start + _CHUNK
-                running += _chain_sums(v[lo:stop + top], k_max, bands, (start - lo, stop - lo), powers)[0]
+                w = v[lo:stop + top]
+                v1 = w[0] if start == 0 else v1  # V_1, read from the first window
+                running += window_sums(w, (start - lo, stop - lo))[0]
                 start = stop
             lo = max(start - top, 0)
             cut = max(start, n - top)
-            shared, own = _chain_sums(v[lo:n], k_max, bands, (start - lo, cut - lo, n - lo), powers)
+            w = v[lo:n]
+            v1 = w[0] if start == 0 else v1
+            shared, own = window_sums(w, (start - lo, cut - lo, n - lo))
             running += shared
             moment[1:] = (running + own)[1:]
+            if 2 in low:
+                moment[2] += 2.0 * (n - 1)
+            if 3 in low:
+                moment[3] += 6.0 * moment[1] - 3.0 * (v1 + w[-1])
             start = cut
         bad = ~(np.abs(moments) <= _OVERFLOW_LIMIT)
         if bad.any():

@@ -119,8 +119,6 @@ class EnsembleResult:
     center_s: float       # wall time of the centering loop; never written to an artifact
     sample_s: float       # seconds drawing potentials, summed over every chunk of every replica
     trace_s: float        # the rest of the replica loop (trace kernel and Tr f), summed the same way
-    degrees: tuple[int, ...]  # truncation degree K of each function
-    tails: tuple[float, ...]  # certified bound on each function's dropped tail at the largest N
     site_sum_errors: tuple[float, ...]  # each function's largest site-sum error bound over the grid
 
     def _fi(self, f_label: str) -> int:
@@ -197,8 +195,6 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         center_s=center_s,
         sample_s=sum(sample_times),
         trace_s=sum(trace_times),
-        degrees=tuple(len(row) - 1 for row in config.rows),
-        tails=config.tails,
         site_sum_errors=tuple(max(rep.site_sum_error for rep in reps) for reps in folds),
     )
 
@@ -398,6 +394,7 @@ def joint_correlation(result: EnsembleResult) -> CorrelationReport:
         cols = np.stack([result.centered(f, n) for f in result.f_labels])
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero-variance row gives NaN
             mat = np.corrcoef(cols)
+        mat = np.triu(mat) + np.triu(mat, 1).T  # corrcoef's (i, j) and (j, i) may differ in the last bit
         np.fill_diagonal(mat, 1.0)
         report.matrices[n] = mat
     return report

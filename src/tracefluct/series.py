@@ -46,13 +46,10 @@ _MAX_TRUNCATION_DEGREE = 200
 
 
 def _exponential_coefficient(rate: float, j: int) -> float:
-    """rate^j / j!, evaluated in log space to survive large j; +-inf past the float range."""
-    if rate == 0.0:
-        return 1.0 if j == 0 else 0.0
-    if j == 0:
-        return 1.0
+    """rate^j / j!, the exact rational rounded once; +-inf past the float range."""
+    num, den = abs(rate).as_integer_ratio()  # den is a power of two
     try:
-        mag = math.exp(j * math.log(abs(rate)) - math.lgamma(j + 1))
+        mag = num**j / (math.factorial(j) << (den.bit_length() - 1) * j)  # int / int rounds once
     except OverflowError:
         mag = math.inf
     return -mag if (rate < 0 and j % 2 == 1) else mag

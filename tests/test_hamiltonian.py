@@ -328,22 +328,57 @@ def test_law_bound_certifies_before_band_work(monkeypatch):
     assert grid_moments(v, 13, (5, 10), bound=1.0).shape == (2, 14)
 
 
-def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():
-    # eigenvalues of 3e4 sites take seconds; banded sparse powers are an independent oracle
+def sparse_trace_powers(values, k_max):
+    """Oracle: [Tr H^0, ..., Tr H^k_max] of the chain on ``values`` via banded sparse powers."""
     from scipy import sparse
 
+    n = len(values)
+    ones = np.ones(n - 1)
+    h = sparse.diags([ones, values, ones], [-1, 0, 1], shape=(n, n), format="csr")
+    power, traces = sparse.identity(n, format="csr"), [float(n)]
+    for _ in range(k_max):
+        power = power @ h
+        traces.append(power.diagonal().sum())
+    return traces
+
+
+def row_traces(rows, traces):
+    """Tr f(H) of each coefficient row, from the traces of the powers."""
+    return [math.fsum(c * traces[j] for j, c in enumerate(row)) for row in rows]
+
+
+def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():
+    # eigenvalues of 3e4 sites take seconds; banded sparse powers are an independent oracle.
+    # The unit rows, and rows that mix powers <= 3 (site sums) with powers >= 4 (bands)
     c = hamiltonian._CHUNK
     sizes = (c - 1, c, c + 1, 2 * c + 3)
     v = sample_potential(sizes[-1], 0.5, rademacher(), seed=78)
-    grid = grid_moments(v, 13, sizes)
-    for row, n in zip(grid, sizes):
-        ones = np.ones(n - 1)
-        h = sparse.diags([ones, v[:n], ones], [-1, 0, 1], format="csr")
-        power, traces = sparse.identity(n, format="csr"), [float(n)]
-        for _ in range(13):
-            power = power @ h
-            traces.append(power.diagonal().sum())
+    mixed = [(0, 0, 0, 1, 1), (0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)]  # x^3 + x^4, the deg-12 row
+    grid, mixed_grid = grid_moments(v, 13, sizes), _grid_traces(v, mixed, sizes)
+    for row, mixed_row, n in zip(grid, mixed_grid, sizes):
+        traces = sparse_trace_powers(v[:n], 13)
         assert np.all(np.abs(row - traces) <= 1e-12 * np.maximum(1.0, np.abs(row))), n
+        want = np.array(row_traces(mixed, traces))
+        assert np.all(np.abs(mixed_row - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), n
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=["rademacher", "uniform", "two-point"])
+def test_low_powers_make_no_band_work(dist, monkeypatch):
+    # Tr H, Tr H^2 and Tr H^3 are site power sums plus edge terms, on arrays and on streams
+    def no_band_work(*args, **kwargs):
+        raise AssertionError("built bands for rows with no power >= 4")
+
+    monkeypatch.setattr(hamiltonian, "_chain_sums", no_band_work)
+    rows = [(0, 1), (0, 0, 0, 1), (0, -2, 1, 1), (1, 1)]  # x, x^3, x^3 - 2x + x^2, 1 + x
+    sizes = (1, 2, 3, _CHUNK - 1, _CHUNK + 2, 2 * _CHUNK + 3)
+    v = sample_potential(sizes[-1], 0.5, dist, seed=29)
+    whole = _grid_traces(v, rows, sizes)
+    streamed = _replica_traces(0.5, dist, rows, sizes, [29])[0][0].T
+    for got_whole, got_streamed, n in zip(whole, streamed, sizes):
+        want = np.array(row_traces(rows, sparse_trace_powers(v[:n], 3)))
+        bound = 1e-12 * np.abs(want)
+        assert np.all(np.abs(got_whole - want) <= bound), n
+        assert np.all(np.abs(got_streamed - want) <= bound), n
 
 
 def test_kernel_memory_is_flat_in_n():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -145,6 +146,25 @@ def test_numerically_finite_series_sums_exactly():
     tiny = AnalyticSeries.exponential(1e-200)
     first = tiny.coefficient(1) * 3.0  # the rest underflows; the tail rounds up past it
     assert first <= tiny.tail_majorant(0, 3.0) <= first * (1 + 1e-12)
+
+
+def test_exponential_coefficients_are_rounded_once():
+    # rate^j / j! is the exact rational rounded to nearest: within half an ulp of its 200-bit
+    # value, +-inf past the float range and 0 or subnormal below it
+    assert AnalyticSeries.exponential(1e-200).coefficient(1) == 1e-200
+    rng = random.Random(29)
+    draws = [(math.copysign(10.0 ** rng.uniform(-6.0, 3.0), rng.random() - 0.5), rng.randrange(201))
+             for _ in range(2_000)]
+    draws += [(math.copysign(10.0 ** rng.uniform(-308.0, 308.0), rng.random() - 0.5), rng.randrange(4))
+              for _ in range(500)]
+    with mpmath.workprec(200):
+        for rate, j in draws:
+            got = AnalyticSeries.exponential(rate).coefficient(j)
+            want = mpmath.mpf(rate) ** j / mpmath.factorial(j)
+            if math.isinf(got):
+                assert abs(want) > sys.float_info.max and got * want > 0, (rate, j)
+            else:
+                assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2, (rate, j)
 
 
 def test_value_certified_inside_the_radius():
