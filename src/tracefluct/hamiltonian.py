@@ -67,6 +67,7 @@ class _PotentialStream:
     def __init__(self, size: int, alpha: float, dist: DistributionSpec, seed: int, window) -> None:
         self.size, self.alpha, self.dist, self.window = size, alpha, dist, window
         self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self.scale = _site_scale(0, min(size, _SCALE_CACHE_SITES), alpha, dist)  # sliced per window
         self.lo = self.hi = 0  # window[:hi - lo] holds sites [lo, hi)
         self.sample_s = 0.0  # seconds spent in __getitem__
 
@@ -74,8 +75,8 @@ class _PotentialStream:
         t0 = time.perf_counter()
         lo, hi, w, kept = sites.start, sites.stop, self.window, self.hi - sites.start
         w[:kept] = w[lo - self.lo:self.hi - self.lo]
-        scale = (_site_scale(0, min(self.size, _SCALE_CACHE_SITES), self.alpha, self.dist)[self.hi:hi]
-                 if hi <= _SCALE_CACHE_SITES else _site_scale.__wrapped__(self.hi, hi, self.alpha, self.dist))
+        scale = (self.scale[self.hi:hi] if hi <= _SCALE_CACHE_SITES
+                 else _site_scale.__wrapped__(self.hi, hi, self.alpha, self.dist))
         self.dist.sample_xs(self.rng, w[kept:hi - lo], scale)
         self.lo, self.hi = lo, hi
         self.sample_s += time.perf_counter() - t0
@@ -215,7 +216,7 @@ def _site_sums(w: np.ndarray, cuts: tuple[int, ...], low: frozenset[int], k_max:
     sums = np.zeros((len(cuts) - 1, k_max + 1))
     for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
         x = w[start:stop]
-        for c in low:
+        for c in low if stop > start else ():
             sums[r, c] = x.sum() if c == 1 else np.einsum(",".join("i" * c) + "->", *[x] * c)
     return sums
 
@@ -235,15 +236,16 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
     sums (see `trace_moments`), and for p >= 4 by `_chain_sums`, whose bands
     go up to half the highest such p, so rows with no power >= 4 build none.
 
-    With rows counted from 0, the row terms of Tr H^p (see `_chain_sums`)
-    depend only on the sites within top = ceil(k_max/2) of the row: the
-    diagonal entry (H^p)_ii of a power p <= top on the sites within p/2,
-    and row i of a pair of half powers on sites i - top .. i + top.  So
-    the rows are walked in chunks of _CHUNK, each built as a free chain
-    with a halo of top sites on both sides.  Every grid size n is a chunk
-    cut: its chain ends at n, the rows before n - top go into one running
-    sum shared by all later sizes (no walk from them reaches n), and the
-    last top rows are summed for size n alone.
+    With rows counted from 0, a site sum's row term is its own site, and the
+    row terms of Tr H^p, p >= 4 (see `_chain_sums`), depend only on the sites
+    within top = ceil(p_max/2) of the row, p_max the highest such p used (top
+    = 0 with none): the diagonal entry (H^p)_ii of a power p <= top on the
+    sites within p/2, and row i of a pair of half powers on sites i - top ..
+    i + top.  So the rows are walked in chunks of _CHUNK, each built as a
+    free chain with a halo of top sites on both sides.  Every grid size n is
+    a chunk cut: its chain ends at n, the rows before n - top go into one
+    running sum shared by all later sizes (no walk from them reaches n), and
+    the last top rows are summed for size n alone.
     """
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] > v.size):
         raise ValueError(f"sizes {sizes} must be strictly increasing and at most {v.size}")
@@ -254,12 +256,12 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
         if bound is None:
             bound = np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
         _check_power_bound(v.size, bound, k_max)
-        top = (k_max + 1) // 2
         if bands is None:
             bands = _band_buffer(rows, v.size)
         powers = frozenset(j for row in rows for j, c in enumerate(row) if c != 0.0)
         low = powers & {1, 2, 3} | ({1} if 3 in powers else set())  # Tr H^3 needs S_1
         high = powers - {0, 1, 2, 3}
+        top = (max(high) + 1) // 2 if high else 0  # site sums need no halo
 
         def window_sums(w, cuts):
             sums = _site_sums(w, cuts, low, k_max)

@@ -1,12 +1,12 @@
 """Analytic test functions given by Taylor coefficients around the origin.
 
-A series is classified into one of three fluctuation cases:
+A series' fluctuation case is its leading weight w, the fewest flat steps of
+a path profile with a nonzero amplitude (critical exponent 1/(2w)); the
+constant term carries no weight, so it never changes the case:
 
-* ``A`` -- general coefficients (leading weight 1, critical exponent 1/2),
-* ``B`` -- even coefficients only (weight 2, critical exponent 1/4),
-* ``C`` -- odd coefficients only, with the linear coefficient tuned to
-  cancel the single-flat contribution of the higher odd powers
-  (weight 3, critical exponent 1/6).
+* ``A`` -- w = 1: sum_{odd j} c_j single_flat_count(j) != 0,
+* ``B`` -- w = 2: that sum is 0 and some c_j != 0 at an even j >= 2,
+* ``C`` -- w = 3: that sum is 0 and only odd powers are present.
 
 Polynomials are classified automatically; infinite series carry an
 explicit tag.  The convergence radius must exceed ``bound + 2`` for the
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinatorics import single_flat_count
@@ -43,16 +44,6 @@ LEADING_WEIGHT = {CASE_A: 1, CASE_B: 2, CASE_C: 3}
 ALPHA_CRITICAL = {case: 1 / (2 * w) for case, w in LEADING_WEIGHT.items()}
 
 _MAX_TRUNCATION_DEGREE = 200
-
-
-def _exponential_coefficient(rate: float, j: int) -> float:
-    """rate^j / j!, the exact rational rounded once; +-inf past the float range."""
-    num, den = abs(rate).as_integer_ratio()  # den is a power of two
-    try:
-        mag = num**j / (math.factorial(j) << (den.bit_length() - 1) * j)  # int / int rounds once
-    except OverflowError:
-        mag = math.inf
-    return -mag if (rate < 0 and j % 2 == 1) else mag
 
 
 def _exp_rounded_up(terms: tuple[float, ...]) -> float:
@@ -72,19 +63,19 @@ def _exp_rounded_up(terms: tuple[float, ...]) -> float:
 
 
 def classify_polynomial(coeffs: Sequence[float]) -> str:
-    """Fluctuation case of a polynomial from its coefficient pattern."""
-    odd = [c for j, c in enumerate(coeffs) if j % 2 == 1]
-    even = [c for j, c in enumerate(coeffs) if j % 2 == 0]
-    if any(even) and not any(odd):
+    """Fluctuation case of a polynomial: its leading weight, decided exactly.
+
+    Odd powers carry only odd flat weights, even powers only even ones.  Up to the table's cap,
+    the weight-2 amplitudes of x^2, x^4, .. have full column rank, as do the weight-1 and -3
+    ones of x, x^3, .. together: past a zero weight-1 sum, w = 2 has an amplitude exactly when
+    an even power is present, and w = 3 when an odd one is.  A constant row has none; it is tagged A.
+    """
+    odd = [(j, c) for j, c in enumerate(coeffs) if j % 2 and c]
+    if sum(Fraction(c) * single_flat_count(j) for j, c in odd):
+        return CASE_A
+    if any(coeffs[2::2]):
         return CASE_B
-    if any(odd) and not any(even):
-        c1 = coeffs[1] if len(coeffs) > 1 else 0.0
-        cancel = -sum(
-            coeffs[j] * single_flat_count(j) for j in range(3, len(coeffs), 2)
-        )
-        if cancel != 0 and math.isclose(c1, cancel, rel_tol=1e-12, abs_tol=1e-12):
-            return CASE_C
-    return CASE_A
+    return CASE_C if odd else CASE_A
 
 
 @dataclass(frozen=True)
@@ -113,15 +104,16 @@ class AnalyticSeries:
         if self.coeffs is None and (self.coeff_fn is None or self.tail_fn is None):
             raise ValueError("an infinite series needs a coeff_fn and its tail bound; "
                              "build it with exponential or cauchy")
-        if self.coeffs is not None and self.case != classify_polynomial(self.coeffs):
-            raise ValueError(f"{self.label} is a polynomial of case "
-                             f"{classify_polynomial(self.coeffs)}, not case {self.case}")
+        if self.coeffs is not None and self.case != (case := classify_polynomial(self.coeffs)):
+            raise ValueError(f"{self.label} is a polynomial of case {case}, not case {self.case}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float], label: str | None = None) -> "AnalyticSeries":
         cs = tuple(float(c) for c in coeffs)
+        if not all(map(math.isfinite, cs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {cs}")
         while cs and cs[-1] == 0.0:
             cs = cs[:-1]
         if not cs:
@@ -153,8 +145,19 @@ class AnalyticSeries:
         if not math.isfinite(rate):
             raise ValueError(f"exp rate must be finite, got {rate!r}")
 
+        num, den = abs(rate).as_integer_ratio()  # den = 2^e
+        cs, run = [], [1, 1]  # c_0, c_1, ..; then num^j and j! 2^(e j) at the next j
+
         def coeff(j: int) -> float:
-            return _exponential_coefficient(rate, j)
+            """rate^j / j!, the exact rational rounded once; +-inf past the float range."""
+            while len(cs) <= j:
+                try:
+                    mag = run[0] / run[1]  # int / int rounds once
+                except OverflowError:
+                    mag = math.inf
+                cs.append(-mag if rate < 0 and len(cs) % 2 else mag)
+                run[:] = run[0] * num, run[1] * len(cs) << den.bit_length() - 1
+            return cs[j]
 
         def tail(k: int, x: float) -> float:
             if rate == 0.0 or x == 0.0:

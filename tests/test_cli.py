@@ -296,6 +296,8 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
       "--dist", "uniform:1e30"], "exceeds 1e+300"),
     (["--f", "exp:nan", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
     (["--f", "exp:inf", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
+    (["--f", "poly:0,nan,0,1", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
+    (["--f", "poly:0,0,inf", "--alpha", "0.3", "--n-grid", "1000"], "finite"),
     (["--f", "exp:1e300", "--alpha", "0.3", "--n-grid", "1000"],
      "no truncation of exp:1e300 at x=3 meets tolerance 1e-09"),
     (["--f", "exp:1", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:1000"],
@@ -305,7 +307,7 @@ def test_simulate_mixed_case_rejected(tmp_path, capsys):
     (["--f", "exp:2e-9", "--alpha", "0.3", "--n-grid", "1000", "--dist", "uniform:1e10"],
      "enumeration for k=75 exceeds the cap of 14"),
 ], ids=["cap", "sites", "workers", "alpha-nan", "alpha-inf", "law-nan", "overflow",
-        "exp-nan", "exp-inf", "exp-huge", "exp-wide-law", "exp-term-overflow"])
+        "exp-nan", "exp-inf", "poly-nan", "poly-inf", "exp-huge", "exp-wide-law", "exp-term-overflow"])
 def test_simulate_infeasible_fails_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an infeasible configuration")
@@ -333,6 +335,18 @@ def test_simulate_case_c_reports_its_limiting_variance(tmp_path, capsys):
     assert code == 0, err
     (entry,) = json.loads((tmp_path / "clt_report.json").read_text())["entries"]
     assert entry["sigma_sq_theory"] == 1.0  # E X^6 under the default Rademacher law
+
+
+def test_simulate_case_c_with_a_constant_term(tmp_path, capsys):
+    # x^3 - 6x + 5: the constant shifts every trace by 5N and leaves the case C limit
+    code, _, err = run_cli(
+        ["simulate", "--f", "poly:5,-6,0,1", "--alpha", "0.1", "--dist", "uniform:sqrt3",
+         "--n-grid", "1000", "--replicas", "100", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    clt = json.loads((tmp_path / "clt_report.json").read_text())
+    (entry,) = clt["entries"]
+    assert clt["t_scaling"] == pytest.approx(0.6, rel=0, abs=1e-12)
+    assert entry["sigma_sq_theory"] == pytest.approx(27 / 7, rel=0, abs=1e-12)  # E X^6 = 27/7
 
 
 def test_simulate_just_above_critical_writes_samples(tmp_path, capsys):
@@ -366,8 +380,9 @@ def test_simulate_rejects_repeated_function(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--f", "exp:1", "--n-grid", "100"], "cap of 14"),
     (["--f", "poly:0,1", "--f", "poly:0,0,1", "--n-grid", "100"], "mix"),
+    (["--f", "poly:0,1", "--f", "poly:5,-6,0,1", "--n-grid", "100"], "mix"),
     (["--f", "poly:0,0,0,0,1", "--n-grid", "8"], "N > 2k"),
-], ids=["past-the-cap", "mixed-cases", "small-n"])
+], ids=["past-the-cap", "mixed-cases", "mixed-cases-constant-term", "small-n"])
 def test_simulate_rejects_an_infeasible_run(tmp_path, capsys, flags, message):
     # the configuration refuses every run it cannot finish before the output directory is made
     out = tmp_path / "out"

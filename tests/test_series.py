@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tracefluct.combinatorics import _profile_table, single_flat_count
 from tracefluct.series import (
     ALPHA_CRITICAL,
     CASE_A,
     CASE_B,
     CASE_C,
+    LEADING_WEIGHT,
     AnalyticSeries,
     classify_polynomial,
     require_radius,
@@ -29,6 +31,34 @@ def test_classification():
     # x^5 - 30x is the degree-5 cancellation: 5*C(4,2) = 30
     assert classify_polynomial([0.0, -30.0, 0.0, 0.0, 0.0, 1.0]) == CASE_C
     assert classify_polynomial([0.0, -29.0, 0.0, 0.0, 0.0, 1.0]) == CASE_A
+    # the constant term carries no weight: x^3 - 6x + 5 is case C, x^3 + x^2 - 6x case B
+    assert classify_polynomial([5.0, -6.0, 0.0, 1.0]) == CASE_C
+    assert classify_polynomial([0.0, -6.0, 1.0, 1.0]) == CASE_B
+    # the cancellation is exact: a relative miss of 1e-13 leaves a weight-1 amplitude
+    assert classify_polynomial([0.0, -6.0 * (1 + 1e-13), 0.0, 1.0]) == CASE_A
+    # a constant has no amplitude at any weight
+    assert classify_polynomial([3.0]) == classify_polynomial([0.0]) == CASE_A
+
+
+def _leading_table_weight(row):
+    """The fewest flat steps of a profile with a nonzero count in the row's table; None if none."""
+    table = _profile_table(tuple(row))
+    weights = table.flats.sum(axis=1)[(table.count != 0) & table.flats.any(axis=1)]
+    return int(weights.min()) if weights.size else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=15), st.sampled_from([None, 0, 1]),
+       st.booleans(), st.integers(-9, 9))
+def test_case_is_the_leading_weight_of_the_profile_table(row, drop, cancel, shift):
+    # integer rows up to the table's cap, optionally with the powers >= 1 of one parity dropped
+    # and c_1 cancelling the weight-1 amplitude, so that cases B and C are drawn as well as A
+    row = [0 if j and j % 2 == drop else c for j, c in enumerate(row)]
+    if cancel and len(row) > 1:
+        row[1] = -sum(c * single_flat_count(j) for j, c in enumerate(row) if j % 2 and j > 1)
+    case, lead = classify_polynomial(row), _leading_table_weight(row)
+    assert case == CASE_A if lead is None else LEADING_WEIGHT[case] == lead, (row, case, lead)
+    assert classify_polynomial([row[0] + shift, *row[1:]]) == case
 
 
 def test_polynomial_constructor():
@@ -165,6 +195,25 @@ def test_exponential_coefficients_are_rounded_once():
                 assert abs(want) > sys.float_info.max and got * want > 0, (rate, j)
             else:
                 assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2, (rate, j)
+
+
+def test_exponential_running_coefficients_are_each_rounded_once():
+    # the series carries one running numerator and denominator from c_0 on; every c_j must be
+    # the exact rational rate^j / j! formed alone and rounded once, its sign and overflow included
+    rng = random.Random(31)
+    rates = [0.3, -1.7, 1e-200, 12.5, 1e300, 0.0, -0.0, -5e-324, 700.0]
+    rates += [math.copysign(10.0 ** rng.uniform(-8.0, 8.0), rng.random() - 0.5) for _ in range(40)]
+    for rate in rates:
+        num, den = rate.as_integer_ratio()  # den is a power of two
+        want = []
+        for j in range(201):
+            try:
+                want.append(num**j / (math.factorial(j) << (den.bit_length() - 1) * j))  # rounds once
+            except OverflowError:
+                want.append(math.copysign(math.inf, rate) if j % 2 else math.inf)
+        got = AnalyticSeries.exponential(rate).coefficients_upto(200)
+        assert [(c, math.copysign(1.0, c)) for c in got] == [
+            (c, math.copysign(1.0, c)) for c in want], rate
 
 
 def test_value_certified_inside_the_radius():
