@@ -341,15 +341,6 @@ def _fold(coeffs, n: int, alpha: float, dist: DistributionSpec, label: str,
     )
 
 
-def _truncate(series: AnalyticSeries, dist: DistributionSpec, tol: float,
-              scale: float) -> tuple[list[float], float]:
-    """``series.truncate`` for operators under ``dist``; a refusal names the law."""
-    try:
-        return series.truncate(dist.bound, tol, scale)
-    except ValueError as exc:
-        raise ValueError(f"{exc} under the law {dist.name}") from None
-
-
 def power_expansion(k: int, n: int, alpha: float, dist: DistributionSpec) -> ExpansionReport:
     """Full decomposition report for a single power Tr H^k: the fold of the unit row e_k."""
     return _fold(_unit_row(k), n, alpha, dist, f"x^{k}", kind="power")
@@ -364,7 +355,7 @@ def series_expansion(series: AnalyticSeries, n: int, alpha: float,
     part carries the aggregated coefficients up to the divergence cutoff;
     everything else lands in ``remainder``.
     """
-    coeffs, tail = _truncate(series, dist, tail_tol, n)
+    coeffs, tail = series.truncate(dist, tail_tol, n)
     return _fold(coeffs, n, alpha, dist, series.label, tail_bound=tail)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +39,7 @@ _OVERFLOW_LIMIT = 1e300
 #: constant, so every machine and worker count sums in the same order.
 _CHUNK = 16384
 
-#: Sites up to which the scale n^alpha is cached whole, 8 MB of doubles.
+#: Sites up to which a replica block computes the scale n^alpha once, 8 MB of doubles.
 _SCALE_CACHE_SITES = 1 << 20
 
 
@@ -55,19 +54,21 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
         raise ValueError("need at least one site")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
-    return _PotentialStream(n_sites, alpha, dist, seed, np.empty(n_sites))[0:n_sites]
+    return _PotentialStream(n_sites, alpha, dist, seed, np.empty(0), np.empty(n_sites))[0:n_sites]
 
 
 class _PotentialStream:
     """One seed's potential V(1..size), sliced like an array, but only at windows [lo, hi)
     that fit ``window`` and move forward (lo and hi never fall; lo is at most the last hi).
     Sites shared with the last window move to its front, and the rest are drawn in place;
-    Philox is counter-based, so they are the doubles of one long draw."""
+    Philox is counter-based, so they are the doubles of one long draw.  ``scale`` is the
+    `_site_scale` of a prefix of sites, sliced by the windows that end in it; a window past
+    it computes its own slice."""
 
-    def __init__(self, size: int, alpha: float, dist: DistributionSpec, seed: int, window) -> None:
-        self.size, self.alpha, self.dist, self.window = size, alpha, dist, window
+    def __init__(self, size: int, alpha: float, dist: DistributionSpec, seed: int,
+                 scale: np.ndarray, window) -> None:
+        self.size, self.alpha, self.dist, self.scale, self.window = size, alpha, dist, scale, window
         self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self.scale = _site_scale(0, min(size, _SCALE_CACHE_SITES), alpha, dist)  # sliced per window
         self.lo = self.hi = 0  # window[:hi - lo] holds sites [lo, hi)
         self.sample_s = 0.0  # seconds spent in __getitem__
 
@@ -75,21 +76,17 @@ class _PotentialStream:
         t0 = time.perf_counter()
         lo, hi, w, kept = sites.start, sites.stop, self.window, self.hi - sites.start
         w[:kept] = w[lo - self.lo:self.hi - self.lo]
-        scale = (self.scale[self.hi:hi] if hi <= _SCALE_CACHE_SITES
-                 else _site_scale.__wrapped__(self.hi, hi, self.alpha, self.dist))
+        scale = (self.scale[self.hi:hi] if hi <= self.scale.size
+                 else _site_scale(self.hi, hi, self.alpha, self.dist))
         self.dist.sample_xs(self.rng, w[kept:hi - lo], scale)
         self.lo, self.hi = lo, hi
         self.sample_s += time.perf_counter() - t0
         return w[:hi - lo]
 
 
-@lru_cache(maxsize=4)
 def _site_scale(lo: int, hi: int, alpha: float, dist: DistributionSpec) -> np.ndarray:
-    """Read-only n^alpha, n = lo+1..hi, as the divisor ``dist.sample_xs`` takes; cached whole
-    up to _SCALE_CACHE_SITES sites, past which each window computes its own slice uncached."""
-    scale = dist.sample_divisor(np.arange(lo + 1, hi + 1, dtype=float) ** alpha)
-    scale.flags.writeable = False
-    return scale
+    """n^alpha, n = lo+1..hi, as the divisor ``dist.sample_xs`` takes."""
+    return dist.sample_divisor(np.arange(lo + 1, hi + 1, dtype=float) ** alpha)
 
 
 def trace_moments(sample, k_max: int) -> np.ndarray:
@@ -106,8 +103,8 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     a read of it is a scalar add, a product with it a plain sum.  That is
     3 site-sum passes plus, for k_max >= 4, about 3 top^2/2 array passes of
     band updates, one reduction per diagonal band (4 <= p <= top) and
-    ceil(p/2) per pair (p > max(top, 3)): 3 passes in all at k_max = 3
-    (7 with bands), and 85 at k_max = 12.
+    ceil(p/2) per pair (p > max(top, 3)): 3 passes in all at k_max = 3,
+    and 85 at k_max = 12.
     The bands are built chunk by chunk, so beyond the input they take
     O(_CHUNK * k_max) memory.
 
@@ -306,14 +303,16 @@ def _replica_traces(alpha: float, dist: DistributionSpec, rows, sizes: tuple[int
     """`_grid_traces` of the rows for a block of replicas, shape (len(seeds), len(rows),
     len(sizes)), with the block's summed sampling and trace seconds.  Replica r's potential
     is drawn from seeds[r] as the pass reaches it, and bounded by the law's bound; one
-    band buffer and one window of sites serve every chunk of every replica."""
+    band buffer, one window of sites and one scale of the first _SCALE_CACHE_SITES sites
+    serve every chunk of every replica."""
     bands = _band_buffer(rows, sizes[-1])
     window = np.empty(bands.shape[-1])  # a chunk's sites with their halo, as long as a band row
+    scale = _site_scale(0, min(sizes[-1], _SCALE_CACHE_SITES), alpha, dist)
     out = np.empty((len(seeds), len(rows), len(sizes)))
     sample_s = trace_s = 0.0
     for traces, seed in zip(out, seeds):
         t0 = time.perf_counter()
-        v = _PotentialStream(sizes[-1], alpha, dist, seed, window)
+        v = _PotentialStream(sizes[-1], alpha, dist, seed, scale, window)
         traces[:] = _grid_traces(v, rows, sizes, bands, dist.bound).T
         sample_s += v.sample_s
         trace_s += time.perf_counter() - t0 - v.sample_s

@@ -25,7 +25,7 @@ import numpy as np
 
 from .combinatorics import _profile_table, _row_key, single_flat_count
 from .distributions import DistributionSpec
-from .expansion import _check_row, _fold, _power_sum_tail, _truncate
+from .expansion import _check_row, _fold, _power_sum_tail
 from .hamiltonian import _check_power_bound, _replica_traces, derive_seed
 from .series import ALPHA_CRITICAL, LEADING_WEIGHT, AnalyticSeries
 
@@ -81,7 +81,7 @@ class EnsembleConfig:
         cases = {f.case for f in self.functions}
         if len(cases) != 1:
             raise ValueError(f"test functions mix fluctuation cases {sorted(cases)}")
-        truncations = [_truncate(f, self.dist, self.tail_tol, self.n_grid[-1]) for f in self.functions]
+        truncations = [f.truncate(self.dist, self.tail_tol, self.n_grid[-1]) for f in self.functions]
         rows = tuple(tuple(coeffs) for coeffs, _ in truncations)
         for row in rows:
             _check_row(row, self.n_grid[0])  # the smallest size
@@ -243,18 +243,18 @@ def sigma_sq_for(series: AnalyticSeries, dist: DistributionSpec) -> float:
     placed at site n; sigma^2 is its long-run variance, sum_{beta, beta'}
     a_beta a_beta' sum_lag Cov(X^beta, X^(beta' + lag)).  Each amplitude
     a_beta = sum_l c_l (closed l-paths of profile beta) is one row's count in the
-    row's profile table, which the ensemble centers read.  The one weight-1
-    amplitude, of delta, is summed in closed form through the smallest K with
-    tail_majorant(K, 3) <= ``_SIGMA_TAIL_TOL`` instead, since an infinite case A
-    series needs more terms than the table's cap: single_flat_count(j) <= 3^j.
+    row's profile table, which the ensemble centers read.  Every amplitude is read off
+    one truncation, at the smallest K with tail_majorant(K, 3) <= ``_SIGMA_TAIL_TOL``: no
+    closed l-path count exceeds 3^l, so it is certified under every law.  The one weight-1
+    amplitude, of delta, is summed in closed form, as an infinite case A series can pass the table's cap.
     """
     w = LEADING_WEIGHT[series.case]
+    coeffs = series.coefficients_upto(series.truncation_degree(3.0, _SIGMA_TAIL_TOL))
     if w == 1:
         flats = np.ones((1, 1), dtype=np.int64)
-        amplitudes = [series._weighted_sum(single_flat_count, 3.0, _SIGMA_TAIL_TOL)]
+        amplitudes = [math.fsum(c * single_flat_count(j) for j, c in enumerate(coeffs) if c)]
     else:
-        degree = series.truncation_degree(2.0 + dist.bound, 1e-12)
-        table = _profile_table(_row_key(series.coefficients_upto(degree)))
+        table = _profile_table(_row_key(coeffs))
         # summed in profile order, fewest levels first
         lead = sorted(np.flatnonzero(table.flats.sum(axis=1) == w).tolist(), key=lambda p: (
             np.count_nonzero(table.flats[p]), [(h, c) for h, c in enumerate(table.flats[p]) if c]))

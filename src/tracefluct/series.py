@@ -9,18 +9,19 @@ constant term carries no weight, so it never changes the case:
 * ``C`` -- w = 3: that sum is 0 and only odd powers are present.
 
 Polynomials are classified automatically; infinite series carry an
-explicit tag.  The convergence radius must exceed ``bound + 2`` for the
-operator norm of the series to converge on the operators built here;
-that check happens where a distribution is known.
+explicit tag.  ``truncate`` is the one route from a series to an operator
+row: it takes the law, so it checks that the convergence radius exceeds
+x = bound + 2, the operator norm, and names the law when it refuses.
 
 A polynomial is summed exactly.  An infinite series declares a closed-form
 bound tail(k, x) >= sum_{j>k} |c_j| x^j when it is built: ``exponential``
 from the falling term ratio |rate x|/j, ``cauchy`` from a Cauchy estimate
 |c_j| <= m rho^-j (Ahlfors, *Complex Analysis*, ch. 4).  Every sum over an
-infinite series (the truncation, the pointwise value, the case A amplitude)
-takes the smallest degree K <= ``_MAX_TRUNCATION_DEGREE`` whose bound meets
-its tolerance and sums c_0..c_K exactly, as for a polynomial.  Zero
-coefficients are allowed anywhere.
+infinite series takes the smallest degree K <= ``_MAX_TRUNCATION_DEGREE``
+whose bound meets its tolerance and sums c_0..c_K exactly, as for a
+polynomial: the operator row at x = bound + 2, the pointwise value at |x|,
+and the limiting variance's amplitudes at the one x = 3, since no closed
+l-path count exceeds 3^l.  Zero coefficients are allowed anywhere.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinatorics import single_flat_count
+from .distributions import DistributionSpec
 
 CASE_A = "A"
 CASE_B = "B"
@@ -85,18 +87,22 @@ class AnalyticSeries:
     ``degree`` is None for a genuinely infinite series; then ``coeff_fn``
     supplies the coefficients and ``tail_fn(k, x)`` bounds sum_{j>k} |c_j| x^j
     (built by ``exponential`` or ``cauchy``).  ``case`` is the fluctuation case tag:
-    a polynomial's is its ``classify_polynomial``, an infinite series' is declared.
+    a polynomial's is its ``classify_polynomial``, filled in when omitted; an infinite
+    series' is declared.
     """
 
     label: str
     radius: float
-    case: str
+    case: str | None = None
     degree: int | None = None
     coeffs: tuple[float, ...] | None = None
     coeff_fn: Callable[[int], float] | None = None
     tail_fn: Callable[[int, float], float] | None = None
 
     def __post_init__(self) -> None:
+        case = None if self.coeffs is None else classify_polynomial(self.coeffs)
+        if self.case is None:
+            object.__setattr__(self, "case", case)
         if self.case not in (CASE_A, CASE_B, CASE_C):
             raise ValueError(f"unknown case tag {self.case!r}")
         if (self.degree is None) == (self.coeffs is not None):
@@ -104,7 +110,7 @@ class AnalyticSeries:
         if self.coeffs is None and (self.coeff_fn is None or self.tail_fn is None):
             raise ValueError("an infinite series needs a coeff_fn and its tail bound; "
                              "build it with exponential or cauchy")
-        if self.coeffs is not None and self.case != (case := classify_polynomial(self.coeffs)):
+        if case is not None and self.case != case:
             raise ValueError(f"{self.label} is a polynomial of case {case}, not case {self.case}")
 
     # -- constructors ------------------------------------------------------
@@ -120,13 +126,7 @@ class AnalyticSeries:
             cs = (0.0,)
         if label is None:
             label = "poly:" + ",".join(f"{c:g}" for c in cs)
-        return cls(
-            label=label,
-            radius=math.inf,
-            case=classify_polynomial(cs),
-            degree=len(cs) - 1,
-            coeffs=cs,
-        )
+        return cls(label=label, radius=math.inf, degree=len(cs) - 1, coeffs=cs)
 
     @classmethod
     def monomial(cls, power: int) -> "AnalyticSeries":
@@ -208,13 +208,6 @@ class AnalyticSeries:
 
     # -- sums ------------------------------------------------------------------
 
-    def _weighted_sum(self, weight: Callable[[int], float], x: float, tol: float) -> float:
-        """fsum of c_j * weight(j) over j <= truncation_degree(x, tol), for weights with
-        |weight(j)| <= x^j, so the dropped part is at most ``tol``; weight(j) is not
-        evaluated where c_j = 0, so a zero cannot overflow."""
-        degree = self.truncation_degree(x, tol)
-        return math.fsum(c * weight(j) for j in range(degree + 1) if (c := self.coefficient(j)))
-
     def tail_majorant(self, k: int, x: float) -> float:
         """Upper bound on sum_{j>k} |c_j| x^j for x >= 0 (inf where none is known);
         0 for polynomials."""
@@ -232,26 +225,26 @@ class AnalyticSeries:
             f"within degree {_MAX_TRUNCATION_DEGREE}"
         )
 
-    def truncate(self, bound: float, tol: float, scale: float) -> tuple[list[float], float]:
-        """(c_0..c_K, tail) for operators with |X| <= ``bound`` on ``scale`` sites.
+    def truncate(self, dist: DistributionSpec, tol: float, scale: float) -> tuple[list[float], float]:
+        """(c_0..c_K, tail) for operators under ``dist`` on ``scale`` sites; a refusal names the law.
 
-        K is the smallest degree with tail = scale * tail_majorant(K, bound + 2) <= tol.
+        Their norm is at most x = dist.bound + 2, which the radius must exceed; K is the
+        smallest degree with tail = scale * tail_majorant(K, x) <= tol.
         """
-        require_radius(self, bound)
-        degree = self.truncation_degree(bound + 2.0, tol, scale=scale)
-        return self.coefficients_upto(degree), scale * self.tail_majorant(degree, bound + 2.0)
+        x = dist.bound + 2.0
+        if self.radius <= x:
+            raise ValueError(f"series {self.label} has radius {self.radius:g} <= {x:g}; "
+                             f"the operator series does not converge under the law {dist.name}")
+        try:
+            degree = self.truncation_degree(x, tol, scale=scale)
+        except ValueError as exc:
+            raise ValueError(f"{exc} under the law {dist.name}") from None
+        return self.coefficients_upto(degree), scale * self.tail_majorant(degree, x)
 
     def evaluate(self, x: float) -> float:
-        """Pointwise value, |x| inside the radius; an infinite series drops at most 1e-17."""
+        """Pointwise value, |x| inside the radius; an infinite series drops at most 1e-17.
+        x^j is not formed where c_j = 0, so a zero cannot overflow."""
         if abs(x) >= self.radius:
             raise ValueError("argument outside the convergence radius")
-        return self._weighted_sum(lambda j: x**j, abs(x), 1e-17)
-
-
-def require_radius(series: AnalyticSeries, bound: float) -> None:
-    """Reject series whose radius does not dominate the operator norm bound."""
-    if series.radius <= bound + 2.0:
-        raise ValueError(
-            f"series {series.label} has radius {series.radius:g} <= {bound + 2:g}; "
-            "the operator series does not converge"
-        )
+        degree = self.truncation_degree(abs(x), 1e-17)
+        return math.fsum(c * x**j for j in range(degree + 1) if (c := self.coefficient(j)))

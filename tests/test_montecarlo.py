@@ -22,7 +22,7 @@ from tracefluct.combinatorics import (
     enumerate_closed_paths,
     single_flat_count,
 )
-from tracefluct.distributions import rademacher, two_point, uniform_sqrt3
+from tracefluct.distributions import rademacher, two_point, uniform_sqrt3, uniform_symmetric
 from tracefluct.expansion import series_expansion
 from tracefluct.hamiltonian import derive_seed, sample_potential
 from tracefluct.montecarlo import (
@@ -176,7 +176,7 @@ def test_run_ensemble_reports_its_truncations():
                             functions=(f, AnalyticSeries.monomial(3)),
                             n_grid=(30, 100), replicas=1, base_seed=3)
     res = run_ensemble(config)
-    coeffs, tail = f.truncate(1.0, config.tail_tol, 100)
+    coeffs, tail = f.truncate(rademacher(), config.tail_tol, 100)
     assert [len(row) - 1 for row in res.config.rows] == [len(coeffs) - 1, 3]
     assert res.config.tails == (tail, 0.0)
     assert 0.0 < tail <= config.tail_tol
@@ -276,6 +276,15 @@ def test_case_a_refuses_uncertifiable_tail():
     slow = AnalyticSeries.cauchy("slow", lambda j: 2.2**-j, 1.0, 2.2, "A")
     with pytest.raises(ValueError, match="meets tolerance"):
         sigma_sq_for(slow, rademacher())
+
+
+def test_case_b_truncates_at_three_under_a_narrow_law():
+    # every amplitude drops at most tail_majorant(K, 3): no closed l-path count exceeds 3^l, so a
+    # bound below 1 must not truncate at 2 + bound, where K = 10 leaves 1.1e-11 > 1e-12 at x = 3
+    even30 = AnalyticSeries.cauchy("even30", lambda j: 0.0 if j % 2 else 30.0**-j, 1.0, 30.0, "B")
+    assert even30.tail_majorant(10, 3.0) > 1e-12 >= even30.tail_majorant(12, 3.0)
+    row = AnalyticSeries.polynomial(even30.coefficients_upto(12))
+    assert sigma_sq_for(even30, uniform_symmetric(0.1)) == sigma_sq_for(row, uniform_symmetric(0.1))
 
 
 def test_case_b_examples():

@@ -1,4 +1,4 @@
-"""Series classification, truncation tails and radius checks."""
+"""Series classification, truncation tails and the radius check of a truncation."""
 
 import math
 import random
@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tracefluct import series
 from tracefluct.combinatorics import _profile_table, single_flat_count
+from tracefluct.distributions import rademacher
 from tracefluct.series import (
     ALPHA_CRITICAL,
     CASE_A,
@@ -18,7 +20,6 @@ from tracefluct.series import (
     LEADING_WEIGHT,
     AnalyticSeries,
     classify_polynomial,
-    require_radius,
 )
 
 
@@ -86,6 +87,19 @@ def test_case_validation_rejects_mismatch():
     assert tagged([0, -6, 0, 1], CASE_C).case == CASE_C  # the normal form is case C
 
 
+def test_a_polynomial_is_classified_once(monkeypatch):
+    # the exact Fraction sum of a row with odd coefficients is taken once, in __post_init__
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return classify_polynomial(coeffs)
+
+    monkeypatch.setattr(series, "classify_polynomial", counted)
+    assert AnalyticSeries.polynomial((5, -6, 0, 1)).case == CASE_C
+    assert calls == [(5.0, -6.0, 0.0, 1.0)]
+
+
 def test_monomial_and_alpha_critical():
     f = AnalyticSeries.monomial(3)
     assert f.coefficient(3) == 1.0
@@ -110,9 +124,9 @@ def test_exponential_series_tail():
 
 def test_radius_check():
     slow = AnalyticSeries.cauchy("geometric", lambda j: 2.0**-j, 1.0, 2.0, CASE_A)
-    with pytest.raises(ValueError, match="radius"):
-        require_radius(slow, bound=1.0)
-    require_radius(AnalyticSeries.monomial(2), bound=1.0)
+    with pytest.raises(ValueError, match=r"radius 2 <= 3; .* under the law rademacher"):
+        slow.truncate(rademacher(), 1e-9, 1e5)
+    assert AnalyticSeries.monomial(2).truncate(rademacher(), 1e-9, 1e5) == ([0.0, 0.0, 1.0], 0.0)
 
 
 def test_infinite_series_needs_a_tail_bound():
@@ -143,7 +157,7 @@ def test_cosh_tail_skips_zero_coefficients():
     cosh = AnalyticSeries.cauchy("cosh", _even_exponential, math.exp(20.0), 20.0, CASE_B)
     # the odd zeros are allowed, and the bound covers all that is dropped
     assert cosh.tail_majorant(0, 3.0) >= math.cosh(3.0) - 1.0
-    coeffs, tail = cosh.truncate(1.0, 1e-9, 1e5)
+    coeffs, tail = cosh.truncate(rademacher(), 1e-9, 1e5)
     k = len(coeffs) - 1
     dropped = 1e5 * math.fsum(_even_exponential(j) * 3.0**j for j in range(k + 1, k + 100))
     assert dropped <= tail <= 1e-9
@@ -165,7 +179,7 @@ def test_sinh_value_skips_zero_coefficients():
 def test_exponential_truncation_pins(rate, degree, tail):
     # a series without zero coefficients keeps its truncation degree bit for bit; its tail, now
     # rounded up, lies at or above the round-to-nearest value pinned here and within 1e-12 of it
-    coeffs, got = AnalyticSeries.exponential(rate).truncate(1.0, 1e-9, 1e5)
+    coeffs, got = AnalyticSeries.exponential(rate).truncate(rademacher(), 1e-9, 1e5)
     assert len(coeffs) - 1 == degree and tail <= got <= tail * (1 + 1e-12)
 
 
@@ -232,7 +246,7 @@ def _zigzag(j):
 def test_zigzag_tail_dominates_the_dropped_terms():
     # magnitudes that fall by 1/40 then rise by 10/4: a ratio below 1/2 says nothing of the rest
     s = AnalyticSeries.cauchy("zigzag", _zigzag, 1.0, 4.0, CASE_A)
-    coeffs, tail = s.truncate(1.0, 1e-9, 1e5)
+    coeffs, tail = s.truncate(rademacher(), 1e-9, 1e5)
     k = len(coeffs) - 1
     dropped = 1e5 * math.fsum(_zigzag(j) * 3.0**j for j in range(k + 1, 500))
     assert dropped <= tail <= 1e-9
