@@ -37,7 +37,21 @@ _OVERFLOW_LIMIT = 1e300
 #: Rows per chunk of the trace kernel.  Its band buffers, 2 ceil(k/2) rows
 #: of _CHUNK + 2 ceil(k/2) doubles, stay cache-sized at any N; a
 #: constant, so every machine and worker count sums in the same order.
+#: The buffer's base is page-aligned and its rows are padded to a stride of
+#: _ROW_RESIDUE bytes past a multiple of 4 KiB, so that every row starts on
+#: a cache line wherever the allocator puts the block.
 _CHUNK = 16384
+
+#: Band-buffer row stride, in bytes past a multiple of 4 KiB.  In a sweep of
+#: the deg-12 replica block on a page-aligned base (fresh processes, median
+#: of 16 rounds, 2-vCPU Xeon VM), every residue that is a multiple of 64 B
+#: (0, 64, 128, 192, 256, 512, 4032) took 0.134-0.138 s of trace time, and
+#: 32, 96 and 160 B took 0.147-0.151 s; a base at page offset 0x10, where a
+#: fresh mmap puts it, took 0.18-0.19 s, and 0x20 took 0.17 s.  So what
+#: counts is that every row starts on a 64-byte cache line.  256 rather than
+#: 0 also keeps up to 16 rows apart modulo 4 KiB, against 4K aliasing, though
+#: no residue here showed that cost.
+_ROW_RESIDUE = 256
 
 #: Sites up to which a replica block computes the scale n^alpha once, 8 MB of doubles.
 _SCALE_CACHE_SITES = 1 << 20
@@ -135,10 +149,31 @@ def _check_power_bound(n_sites: int, peak: float, k_max: int) -> None:
         )
 
 
+def _halo(rows) -> int:
+    """ceil(p/2) for the highest power p >= 4 with a nonzero coefficient in some row, else 0:
+    the band rows of every power `_chain_sums` builds, and the sites of halo a chunk of
+    `_grid_traces` takes on each side (site sums need none)."""
+    high = [j for row in rows for j, c in enumerate(row) if c != 0.0 and j >= 4]
+    return (max(high) + 1) // 2 if high else 0
+
+
 def _band_buffer(rows, n_sites: int) -> np.ndarray:
-    """Scratch band powers for `_grid_traces` of the rows on up to n_sites sites; reusable across calls."""
-    top = max((len(row) for row in rows), default=1) // 2  # ceil(k_max/2)
-    return np.empty((2, top, min(n_sites, _CHUNK + 2 * top)))
+    """Scratch band powers for `_grid_traces` of the rows on up to n_sites sites; reusable across calls.
+
+    Shape (2, top, m), top = `_halo` of the rows and m = min(n_sites, _CHUNK + 2 top), a
+    window of sites per row.  The base is page-aligned and the rows are padded to a
+    stride of _ROW_RESIDUE bytes past a multiple of 4 KiB; only the addresses depend on
+    this, never a sum.
+    """
+    top = _halo(rows)
+    m = min(n_sites, _CHUNK + 2 * top)
+    if not top:  # no band rows, so no layout to fix
+        return np.empty((2, 0, m))
+    stride = m + (_ROW_RESIDUE // 8 - m) % 512  # in doubles; 512 doubles are 4 KiB
+    size = 2 * top * stride * 8
+    raw = np.empty(size + 4096, dtype=np.uint8)
+    start = -raw.ctypes.data % 4096
+    return raw[start:start + size].view(np.float64).reshape(2, top, stride)[:, :, :m]
 
 
 def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, ...],
@@ -258,7 +293,7 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
         powers = frozenset(j for row in rows for j, c in enumerate(row) if c != 0.0)
         low = powers & {1, 2, 3} | ({1} if 3 in powers else set())  # Tr H^3 needs S_1
         high = powers - {0, 1, 2, 3}
-        top = (max(high) + 1) // 2 if high else 0  # site sums need no halo
+        top = _halo(rows)
 
         def window_sums(w, cuts):
             sums = _site_sums(w, cuts, low, k_max)
@@ -322,11 +357,11 @@ def _replica_traces(alpha: float, dist: DistributionSpec, rows, sizes: tuple[int
 def eigenvalues(sample) -> np.ndarray:
     """All eigenvalues, ascending, of the symmetric tridiagonal operator.
 
-    An independent oracle for the trace kernel: LAPACK's default
-    tridiagonal driver (stemr, multiple relatively robust
-    representations), accurate to a small multiple of machine precision
-    times the spectral radius.  It is O(N^2): 10.7 s for one chain of
-    16,385 sites on a 2-vCPU VM, so the kernel's chunk-boundary test
+    An independent oracle for the trace kernel: LAPACK's sterf
+    (eigenvalues only, by the root-free QR iteration), accurate to a small
+    multiple of machine precision times the spectral radius.  It is
+    O(N^2): 5.3 s for one chain of 16,385 sites on a 2-vCPU VM, where the
+    default driver stemr took 10.7 s, so the kernel's chunk-boundary test
     checks against sparse matrix powers instead.  scipy is imported here,
     off the CLI's import path.
     """
@@ -334,4 +369,4 @@ def eigenvalues(sample) -> np.ndarray:
 
     v = np.asarray(sample, dtype=float)
     off = np.ones(max(v.size - 1, 0))
-    return np.sort(eigh_tridiagonal(v, off, eigvals_only=True))
+    return np.sort(eigh_tridiagonal(v, off, eigvals_only=True, lapack_driver="sterf"))

@@ -293,6 +293,42 @@ def test_replica_block_reuses_buffers_without_leaks(dist, k, monkeypatch):
         assert np.array_equal(traces, _replica_traces(0.3, dist, rows, sizes, [seed])[0][0])
 
 
+def at_page_offset(shape, offset):
+    """An uninitialised C-contiguous float array whose first double sits ``offset`` bytes into a page."""
+    size = 8 * math.prod(shape)
+    raw = np.empty(size + 4096, dtype=np.uint8)
+    start = (offset - raw.ctypes.data) % 4096
+    return raw[start:start + size].view(np.float64).reshape(shape)
+
+
+@pytest.mark.parametrize("rows", [[(0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)], [(0, 0, 0, 1, 1)]],
+                         ids=["deg12", "x3+x4"])
+def test_band_layout_never_changes_a_bit(rows):
+    # the buffer's page-aligned base and padded rows move addresses only: a plain buffer and
+    # one at page offset 0x10, where a fresh mmap puts it, give the very same traces
+    c, top = _CHUNK, hamiltonian._halo(rows)
+    v = sample_potential(2 * c + 3, 0.2, uniform_sqrt3(), seed=4)
+    bands = hamiltonian._band_buffer(rows, v.size)
+    assert bands.shape == (2, top, c + 2 * top)
+    assert bands.ctypes.data % 4096 == 0
+    assert bands.strides == (top * bands.strides[1], bands.strides[1], 8)
+    assert bands.strides[1] % 4096 == hamiltonian._ROW_RESIDUE
+    shifted = at_page_offset(bands.shape, 0x10)
+    assert shifted.ctypes.data % 4096 == 0x10
+    for sizes in [(c - 1,), (c,), (c + 1,), (2 * c + 3,), (c - 1, c, c + 1, 2 * c + 3)]:
+        want = _grid_traces(v, rows, sizes, bands)
+        for other in (np.empty(bands.shape), shifted):
+            assert np.array_equal(_grid_traces(v, rows, sizes, other), want), sizes
+
+
+def test_rows_below_power_four_build_no_bands():
+    # the buffer takes the kernel's halo: rows that stop at power 3, or carry only zeros above
+    # it, get no band rows and a window of _CHUNK sites
+    for rows in ([(0, 1), (0, 0, 0, 1)], [(1, 0, 2, 0, 0.0)]):
+        assert hamiltonian._band_buffer(rows, 10 * _CHUNK).shape == (2, 0, _CHUNK)
+    assert hamiltonian._band_buffer([(0, 0, 0, 0, 1), (0, 1)], 10).shape == (2, 2, 10)
+
+
 @pytest.mark.parametrize("chunk, n", [(3, 40), (7, 40), (_CHUNK, 2 * _CHUNK + 9)])
 def test_masked_powers_match_the_full_kernel(chunk, n, monkeypatch):
     # a row's trace is the fsum of the full kernel's moments over the row's powers, to the bit
