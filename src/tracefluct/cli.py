@@ -292,6 +292,7 @@ def cmd_simulate(args) -> int:
     _write_sidecar(out_dir, {
         "ensemble_s": ensemble_s,
         "sample_s": result.sample_s,
+        "sample_ns_per_site": 1e9 * result.sample_s / (config.replicas * n_grid[-1]),
         "trace_s": result.trace_s,
         "center_s": result.center_s,
         "reports_s": reports_s,

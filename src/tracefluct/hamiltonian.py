@@ -20,7 +20,12 @@ all ones.
 
 The replica pass takes coefficient rows (c_0, ..., c_K) in and gives each
 replica's traces sum_j c_j Tr H^j at every grid size out, summing only the
-powers some row uses; ``trace_moments`` is that pass on the unit rows.
+powers some row uses; ``trace_moments`` is that pass on the unit rows.  The
+chunk cuts come from the grid sizes alone, so replicas walk them in blocks of
+_REPLICA_BLOCK: each window is one (B, m) block of the B potentials, drawn with
+one scale slice n^alpha, with S_1 and S_3 one reduction each over all B rows
+and the band kernel run row by row through one band buffer.  An array of
+potentials is a block too.
 """
 
 from __future__ import annotations
@@ -53,8 +58,17 @@ _CHUNK = 16384
 #: no residue here showed that cost.
 _ROW_RESIDUE = 256
 
-#: Sites up to which a replica block computes the scale n^alpha once, 8 MB of doubles.
+#: Sites up to which `_replica_traces` computes the scale n^alpha once, 8 MB of doubles.
 _SCALE_CACHE_SITES = 1 << 20
+
+#: Replicas that walk the chunk grid together in `_replica_traces`, B.  A block pays the
+#: pass's per-window overhead once, and each of its replicas holds a window row of
+#: _CHUNK + 2 ceil(k/2) doubles (131 KB); its band kernel still runs a row at a time, as a
+#: (B, m) batch of bands leaves L2.  4 is the smallest B with the whole gain on the bench's
+#: low-degree run, and 8 added 0.1-0.4 MB of peak RSS.  Past the scale prefix a window
+#: computes n^alpha for its block, about 4 ns a site against a 4.6 ns draw, so there the
+#: block is twice as large; its 1 MB is small beside the 8 MB prefix.  No trace depends on B.
+_REPLICA_BLOCK = 4
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -68,39 +82,48 @@ def sample_potential(n_sites: int, alpha: float, dist: DistributionSpec, seed: i
         raise ValueError("need at least one site")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"the decay exponent alpha must be positive and finite, got {alpha}")
-    return _PotentialStream(n_sites, alpha, dist, seed, np.empty(0), np.empty(n_sites))[0:n_sites]
+    block = _PotentialBlock(n_sites, alpha, dist, [seed], np.empty(0), np.empty((1, n_sites)))
+    return block[:, 0:n_sites][0]
 
 
-class _PotentialStream:
-    """One seed's potential V(1..size), sliced like an array, but only at windows [lo, hi)
-    that fit ``window`` and move forward (lo and hi never fall; lo is at most the last hi).
-    Sites shared with the last window move to its front, and the rest are drawn in place;
-    Philox is counter-based, so they are the doubles of one long draw.  ``scale`` is the
-    `_site_scale` of a prefix of sites, sliced by the windows that end in it; a window past
-    it computes its own slice."""
+class _PotentialBlock:
+    """B seeds' potentials V(1..size), sliced like a (B, size) array, but only at windows
+    [:, lo:hi] that fit ``window``, a (B, m) block, and move forward (lo and hi never fall;
+    lo is at most the last hi).  Sites shared with the last window move to its front, and
+    each seed's Philox stream draws the rest in place into its own row; Philox is
+    counter-based, so they are the doubles of one long draw.  A window takes its scale
+    n^alpha once for all B rows: a slice of ``scale``, the `_site_scale` of a prefix of
+    sites, when it ends in it, else its own `_site_scale`."""
 
-    def __init__(self, size: int, alpha: float, dist: DistributionSpec, seed: int,
-                 scale: np.ndarray, window) -> None:
-        self.size, self.alpha, self.dist, self.scale, self.window = size, alpha, dist, scale, window
-        self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self.lo = self.hi = 0  # window[:hi - lo] holds sites [lo, hi)
+    def __init__(self, size: int, alpha: float, dist: DistributionSpec, seeds: list[int],
+                 scale: np.ndarray, window: np.ndarray) -> None:
+        self.shape = (len(seeds), size)
+        self.alpha, self.dist, self.scale, self.window = alpha, dist, scale, window
+        self.rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+                     for seed in seeds]
+        self.lo = self.hi = 0  # window[:, :hi - lo] holds sites [lo, hi)
         self.sample_s = 0.0  # seconds spent in __getitem__
 
-    def __getitem__(self, sites: slice) -> np.ndarray:
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
         t0 = time.perf_counter()
-        lo, hi, w, kept = sites.start, sites.stop, self.window, self.hi - sites.start
-        w[:kept] = w[lo - self.lo:self.hi - self.lo]
+        lo, hi = key[1].start, key[1].stop
+        w, kept = self.window, self.hi - lo
+        w[:, :kept] = w[:, lo - self.lo:self.hi - self.lo]
         scale = (self.scale[self.hi:hi] if hi <= self.scale.size
                  else _site_scale(self.hi, hi, self.alpha, self.dist))
-        self.dist.sample_xs(self.rng, w[kept:hi - lo], scale)
+        for rng, row in zip(self.rngs, w):
+            self.dist.sample_xs(rng, row[kept:hi - lo], scale)
         self.lo, self.hi = lo, hi
         self.sample_s += time.perf_counter() - t0
-        return w[:hi - lo]
+        return w[:, :hi - lo]
 
 
 def _site_scale(lo: int, hi: int, alpha: float, dist: DistributionSpec) -> np.ndarray:
-    """n^alpha, n = lo+1..hi, as the divisor ``dist.sample_xs`` takes."""
-    return dist.sample_divisor(np.arange(lo + 1, hi + 1, dtype=float) ** alpha)
+    """n^alpha, n = lo+1..hi, as the divisor ``dist.sample_xs`` takes; one array of hi - lo
+    doubles, raised in place (``**=`` takes the same fast paths as ``**``)."""
+    scale = np.arange(lo + 1, hi + 1, dtype=float)
+    scale **= alpha
+    return dist.sample_divisor(scale)
 
 
 def trace_moments(sample, k_max: int) -> np.ndarray:
@@ -129,7 +152,7 @@ def trace_moments(sample, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     v = np.asarray(sample, dtype=float)
-    return _grid_traces(v, [(0,) * p + (1,) for p in range(k_max + 1)], (v.size,))[0]
+    return _grid_traces(v[None], [(0,) * p + (1,) for p in range(k_max + 1)], (v.size,))[0, 0]
 
 
 def _check_power_bound(n_sites: int, peak: float, k_max: int) -> None:
@@ -243,25 +266,31 @@ def _chain_sums(w: np.ndarray, k_max: int, bands: np.ndarray, cuts: tuple[int, .
 
 
 def _site_sums(w: np.ndarray, cuts: tuple[int, ...], low: frozenset[int], k_max: int) -> np.ndarray:
-    """S_c = sum_i w_i^c over each row range [cuts[r], cuts[r+1]) of w, in row r and column c,
-    for each c in ``low``; the other columns are 0.  BLAS-free, as `_chain_sums` is."""
-    sums = np.zeros((len(cuts) - 1, k_max + 1))
+    """S_c = sum_i w_bi^c over each row range [cuts[r], cuts[r+1]) of each potential w_b of
+    the block w, at [b, r, c] for each c in ``low``; the other columns are 0.  BLAS-free, as
+    `_chain_sums` is.  S_1 and S_3 are one reduction over all B rows, with the bits of one
+    per row; S_2 is one per row, since the block form of its einsum sums in another order."""
+    sums = np.zeros((w.shape[0], len(cuts) - 1, k_max + 1))
     for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-        x = w[start:stop]
+        x = w[:, start:stop]
         for c in low if stop > start else ():
-            sums[r, c] = x.sum() if c == 1 else np.einsum(",".join("i" * c) + "->", *[x] * c)
+            if c == 2:
+                sums[:, r, c] = [np.einsum("i,i->", row, row) for row in x]
+            else:
+                sums[:, r, c] = x.sum(axis=1) if c == 1 else np.einsum("ij,ij,ij->i", x, x, x)
     return sums
 
 
-def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
+def _grid_traces(v: np.ndarray | _PotentialBlock, rows, sizes: tuple[int, ...],
                  bands: np.ndarray | None = None, bound: float | None = None) -> np.ndarray:
-    """Tr f(H) of every coefficient row (c_0, ..., c_K) at every prefix size in one pass:
-    shape (len(sizes), len(rows)), each the fsum of c_j Tr H^j over the row's nonzero c_j.
+    """Tr f(H) of every coefficient row (c_0, ..., c_K) at every prefix size of each of B
+    potentials, in one pass: shape (B, len(sizes), len(rows)), each the fsum of c_j Tr H^j
+    over the row's nonzero c_j.
 
-    ``v`` is the potential: an array, or a `_PotentialStream` (with ``bound``),
-    which draws each chunk's sites as the pass reaches them.
-    ``sizes`` is strictly increasing and ends by ``v.size`` (else a ValueError); ``bands`` is
-    an optional `_band_buffer` of the rows for ``v.size`` sites, reused between calls.
+    ``v`` is the potentials: a (B, n) array, or a `_PotentialBlock` (with ``bound``), which
+    draws each window's sites as the pass reaches them.
+    ``sizes`` is strictly increasing and ends by n (else a ValueError); ``bands`` is
+    an optional `_band_buffer` of the rows for n sites, reused between calls.
     ``bound`` is a known bound on |V| (a law's support), certified against
     overflow in place of a scan of ``v`` for its largest magnitude.
     Tr H^p is summed only for a p that some row uses: for p <= 3 from site
@@ -277,19 +306,26 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
     free chain with a halo of top sites on both sides.  Every grid size n is
     a chunk cut: its chain ends at n, the rows before n - top go into one
     running sum shared by all later sizes (no walk from them reaches n), and
-    the last top rows are summed for size n alone.
+    the last top rows are summed for size n alone.  The cuts depend on the
+    sizes alone, so the B potentials walk them together: each window is one
+    (B, m) block, `_site_sums` takes it whole, `_chain_sums` runs on each
+    row through the one ``bands``, and the running sums are a (B, k+1)
+    array.  Every potential sums the same windows in the same order
+    as it would alone, so its traces do not depend on B.
     """
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] > v.size):
-        raise ValueError(f"sizes {sizes} must be strictly increasing and at most {v.size}")
+    n_max = v.shape[-1]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] > n_max):
+        raise ValueError(f"sizes {sizes} must be strictly increasing and at most {n_max}")
     k_max = max((len(row) - 1 for row in rows), default=0)
-    moments = np.zeros((len(sizes), k_max + 1))  # Tr H^p; 0 for a p no row uses (Tr H^3 fills Tr H)
-    moments[:, 0] = sizes
+    # Tr H^p of each potential and size; 0 for a p no row uses (Tr H^3 fills Tr H)
+    moments = np.zeros((v.shape[0], len(sizes), k_max + 1))
+    moments[..., 0] = sizes
     if k_max:
         if bound is None:
             bound = np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
-        _check_power_bound(v.size, bound, k_max)
+        _check_power_bound(n_max, bound, k_max)
         if bands is None:
-            bands = _band_buffer(rows, v.size)
+            bands = _band_buffer(rows, n_max)
         powers = frozenset(j for row in rows for j, c in enumerate(row) if c != 0.0)
         low = powers & {1, 2, 3} | ({1} if 3 in powers else set())  # Tr H^3 needs S_1
         high = powers - {0, 1, 2, 3}
@@ -297,58 +333,62 @@ def _grid_traces(v: np.ndarray | _PotentialStream, rows, sizes: tuple[int, ...],
 
         def window_sums(w, cuts):
             sums = _site_sums(w, cuts, low, k_max)
-            if high:
-                sums[:, :max(high) + 1] += _chain_sums(w, max(high), bands, cuts, high)
+            for row, row_sums in zip(w, sums) if high else ():
+                row_sums[:, :max(high) + 1] += _chain_sums(row, max(high), bands, cuts, high)
             return sums
 
-        running = np.zeros(k_max + 1)
+        running = np.zeros((v.shape[0], k_max + 1))
         start = 0  # rows [0, start) of every later size are in running
-        for moment, n in zip(moments, sizes):
+        for moment, n in zip(moments.transpose(1, 0, 2), sizes):
             while n - start > _CHUNK + top:
                 lo = max(start - top, 0)
                 stop = start + _CHUNK
-                w = v[lo:stop + top]
-                v1 = w[0] if start == 0 else v1  # V_1, read from the first window
-                running += window_sums(w, (start - lo, stop - lo))[0]
+                w = v[:, lo:stop + top]
+                v1 = w[:, 0].copy() if start == 0 else v1  # V_1, read from the first window
+                running += window_sums(w, (start - lo, stop - lo))[:, 0]
                 start = stop
             lo = max(start - top, 0)
             cut = max(start, n - top)
-            w = v[lo:n]
-            v1 = w[0] if start == 0 else v1
-            shared, own = window_sums(w, (start - lo, cut - lo, n - lo))
-            running += shared
-            moment[1:] = (running + own)[1:]
+            w = v[:, lo:n]
+            v1 = w[:, 0].copy() if start == 0 else v1
+            sums = window_sums(w, (start - lo, cut - lo, n - lo))
+            running += sums[:, 0]
+            moment[:, 1:] = (running + sums[:, 1])[:, 1:]
             if 2 in low:
-                moment[2] += 2.0 * (n - 1)
+                moment[:, 2] += 2.0 * (n - 1)
             if 3 in low:
-                moment[3] += 6.0 * moment[1] - 3.0 * (v1 + w[-1])
+                moment[:, 3] += 6.0 * moment[:, 1] - 3.0 * (v1 + w[:, -1])
             start = cut
         bad = ~(np.abs(moments) <= _OVERFLOW_LIMIT)
         if bad.any():
-            p = int(np.argmax(bad.any(axis=0)))
+            p = int(np.argmax(bad.any(axis=(0, 1))))
             raise OverflowError(f"Tr H^{p} exceeds {_OVERFLOW_LIMIT:g} or is not finite; aborting")
-    out = np.empty((len(sizes), len(rows)))
-    for traces, moment in zip(out, moments.tolist()):
+    out = np.empty((v.shape[0], len(sizes), len(rows)))
+    for traces, moment in zip(out.reshape(-1, len(rows)), moments.reshape(-1, k_max + 1).tolist()):
         traces[:] = [math.fsum(c * moment[j] for j, c in enumerate(row) if c != 0.0) for row in rows]
     return out
 
 
 def _replica_traces(alpha: float, dist: DistributionSpec, rows, sizes: tuple[int, ...],
                     seeds: list[int]) -> tuple[np.ndarray, float, float]:
-    """`_grid_traces` of the rows for a block of replicas, shape (len(seeds), len(rows),
-    len(sizes)), with the block's summed sampling and trace seconds.  Replica r's potential
-    is drawn from seeds[r] as the pass reaches it, and bounded by the law's bound; one
-    band buffer, one window of sites and one scale of the first _SCALE_CACHE_SITES sites
-    serve every chunk of every replica."""
+    """`_grid_traces` of the rows for the replicas of ``seeds``, shape (len(seeds), len(rows),
+    len(sizes)), with their summed sampling and trace seconds.  Replica r's potential is
+    drawn from seeds[r] as the pass reaches it, and bounded by the law's bound.  The
+    replicas walk the grid in blocks of B = _REPLICA_BLOCK seeds, 2 B past the scale prefix
+    (the last block partial), and one band buffer, one (min(B, replicas), m) window block
+    and one scale of the first _SCALE_CACHE_SITES sites serve every block."""
     bands = _band_buffer(rows, sizes[-1])
-    window = np.empty(bands.shape[-1])  # a chunk's sites with their halo, as long as a band row
     scale = _site_scale(0, min(sizes[-1], _SCALE_CACHE_SITES), alpha, dist)
+    b = _REPLICA_BLOCK if sizes[-1] <= _SCALE_CACHE_SITES else 2 * _REPLICA_BLOCK
+    # a chunk's sites with their halo, as long as a band row, for each replica of a block
+    window = np.empty((min(b, len(seeds)), bands.shape[-1]))
     out = np.empty((len(seeds), len(rows), len(sizes)))
     sample_s = trace_s = 0.0
-    for traces, seed in zip(out, seeds):
+    for i in range(0, len(seeds), b):
+        block = seeds[i:i + b]
         t0 = time.perf_counter()
-        v = _PotentialStream(sizes[-1], alpha, dist, seed, scale, window)
-        traces[:] = _grid_traces(v, rows, sizes, bands, dist.bound).T
+        v = _PotentialBlock(sizes[-1], alpha, dist, block, scale, window[:len(block)])
+        out[i:i + len(block)] = _grid_traces(v, rows, sizes, bands, dist.bound).transpose(0, 2, 1)
         sample_s += v.sample_s
         trace_s += time.perf_counter() - t0 - v.sample_s
     return out, sample_s, trace_s

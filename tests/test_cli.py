@@ -256,8 +256,11 @@ def test_simulate_artifacts(tmp_path, capsys):
     corr = (tmp_path / "correlation.csv").read_text()
     assert "N,f_i,f_j,correlation" in corr
     fields = assert_phase_times(tmp_path / "run_info.txt",
-                                ["ensemble_s", "sample_s", "trace_s", "center_s", "reports_s",
-                                 "write_s", "replicas_per_s"])
+                                ["ensemble_s", "sample_s", "sample_ns_per_site", "trace_s",
+                                 "center_s", "reports_s", "write_s", "replicas_per_s"])
+    # sampling time per drawn site: each replica draws the grid's largest size once
+    per_site = 1e9 * float(fields["sample_s"]) / (120 * 400)
+    assert float(fields["sample_ns_per_site"]) == pytest.approx(per_site, rel=2e-5)  # two 6-digit roundings
     # a polynomial is used whole: its degree, and nothing dropped
     assert fields["degree:poly:0,1"] == "1" and fields["degree:poly:0,0,0,1"] == "3"
     assert float(fields["tail:poly:0,1"]) == float(fields["tail:poly:0,0,0,1"]) == 0.0

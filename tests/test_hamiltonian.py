@@ -43,7 +43,7 @@ def unit_rows(k):
 
 def grid_moments(v, k, sizes, bound=None):
     """[Tr H^0, ..., Tr H^k] of every prefix size, one pass over v: shape (len(sizes), k + 1)."""
-    return _grid_traces(v, unit_rows(k), sizes, bound=bound)
+    return _grid_traces(v[None], unit_rows(k), sizes, bound=bound)[0]
 
 
 # ---------------------------------------------------------------- sampling
@@ -254,43 +254,54 @@ def stream_traces(alpha, dist, seed, k, sizes):
 @pytest.mark.parametrize("dist", LAWS, ids=["rademacher", "uniform", "two-point"])
 @pytest.mark.parametrize("k", [1, 3, 12, 14])
 def test_streamed_traces_match_the_whole_potential(dist, k):
-    # the same doubles in the same chunks: bit-identical to the pass over the drawn array
+    # the same doubles in the same chunks: each row of a block of two streamed replicas is
+    # bit-identical to the pass over its own drawn array
     top = (k + 1) // 2
     grids = [(_CHUNK - top,), (_CHUNK + top,), (3 * _CHUNK + 5,),
              (_CHUNK - top, _CHUNK + top, 3 * _CHUNK + 5), (5, _CHUNK, 2 * _CHUNK + top + 1)]
     for seed, sizes in enumerate(grids):
-        whole = sample_potential(sizes[-1], 0.3, dist, seed)
-        streamed = stream_traces(0.3, dist, seed, k, sizes)
-        assert np.array_equal(streamed, grid_moments(whole, k, sizes)), sizes
-        if len(sizes) == 1:
-            assert np.array_equal(streamed[0], trace_moments(whole, k)), sizes
+        seeds = [seed, seed + len(grids)]
+        for streamed, s in zip(_replica_traces(0.3, dist, unit_rows(k), sizes, seeds)[0], seeds):
+            whole = sample_potential(sizes[-1], 0.3, dist, s)
+            assert np.array_equal(streamed.T, grid_moments(whole, k, sizes)), sizes
+            if len(sizes) == 1:
+                assert np.array_equal(streamed[:, 0], trace_moments(whole, k)), sizes
 
 
 @pytest.mark.parametrize("dist", LAWS, ids=["rademacher", "uniform", "two-point"])
 @pytest.mark.parametrize("k", [1, 3, 12])
 def test_replica_block_reuses_buffers_without_leaks(dist, k, monkeypatch):
-    # chains of every length pass through one band buffer and one window: a block of
-    # three replicas gives the very doubles of three blocks of one
+    # chains of every length pass through one band buffer and one window block per call:
+    # 2 B + 3 replicas give the very doubles of one call per replica, with a scale prefix
+    # that covers every size (blocks of B) and with one that ends inside the grid (of 2 B)
     monkeypatch.setattr(hamiltonian, "_CHUNK", 5)
-    buffers, windows = [], set()
-    band_buffer, stream = hamiltonian._band_buffer, hamiltonian._PotentialStream
+    calls = []  # per _replica_traces call, its band buffer and the window of each block
+    band_buffer, block = hamiltonian._band_buffer, hamiltonian._PotentialBlock
 
     def counted(*args):
-        buffers.append(band_buffer(*args))
-        return buffers[-1]
+        calls.append([band_buffer(*args)])
+        return calls[-1][0]
 
     def recorded(*args):
-        windows.add(id(args[-1]))
-        return stream(*args)
+        calls[-1].append(args[-1])
+        return block(*args)
 
     monkeypatch.setattr(hamiltonian, "_band_buffer", counted)
-    monkeypatch.setattr(hamiltonian, "_PotentialStream", recorded)
+    monkeypatch.setattr(hamiltonian, "_PotentialBlock", recorded)
     rows = [*unit_rows(k)[1:], (1.5, 0.0, -2.0, 0.25)[:k + 1]]
-    sizes, seeds = (2, 4, 13, 14, 37), [derive_seed(3, r) for r in range(3)]
-    block = _replica_traces(0.3, dist, rows, sizes, seeds)[0]
-    assert len(buffers) == 1 and len(windows) == 1
-    for traces, seed in zip(block, seeds):
-        assert np.array_equal(traces, _replica_traces(0.3, dist, rows, sizes, [seed])[0][0])
+    b = hamiltonian._REPLICA_BLOCK
+    sizes, seeds = (2, 4, 13, 14, 37), [derive_seed(3, r) for r in range(2 * b + 3)]
+    one = np.concatenate([_replica_traces(0.3, dist, rows, sizes, [seed])[0] for seed in seeds])
+    assert [[w.shape[0] for w in windows] for _, *windows in calls] == [[1]] * len(seeds)
+    for prefix, blocks in ((64, [b, b, 3]), (20, [2 * b, 3])):
+        monkeypatch.setattr(hamiltonian, "_SCALE_CACHE_SITES", prefix)
+        calls.clear()
+        assert np.array_equal(_replica_traces(0.3, dist, rows, sizes, seeds)[0], one), prefix
+        ((_, *windows),) = calls
+        assert [w.shape[0] for w in windows] == blocks
+        assert len({w.ctypes.data for w in windows}) == 1  # one block, its first rows reused
+    empty, sample_s, trace_s = _replica_traces(0.3, dist, rows, sizes, [])
+    assert empty.shape == (0, len(rows), len(sizes)) and sample_s == trace_s == 0.0
 
 
 def at_page_offset(shape, offset):
@@ -316,9 +327,9 @@ def test_band_layout_never_changes_a_bit(rows):
     shifted = at_page_offset(bands.shape, 0x10)
     assert shifted.ctypes.data % 4096 == 0x10
     for sizes in [(c - 1,), (c,), (c + 1,), (2 * c + 3,), (c - 1, c, c + 1, 2 * c + 3)]:
-        want = _grid_traces(v, rows, sizes, bands)
+        want = _grid_traces(v[None], rows, sizes, bands)
         for other in (np.empty(bands.shape), shifted):
-            assert np.array_equal(_grid_traces(v, rows, sizes, other), want), sizes
+            assert np.array_equal(_grid_traces(v[None], rows, sizes, other), want), sizes
 
 
 def test_rows_below_power_four_build_no_bands():
@@ -343,7 +354,7 @@ def test_masked_powers_match_the_full_kernel(chunk, n, monkeypatch):
             row = np.zeros(k + 1)  # padded to k + 1, so the bands and chunks are the full kernel's
             row[sorted(powers)] = rng.normal(size=len(powers))
             rows.append(tuple(row.tolist()))
-        got = _grid_traces(v, rows, sizes)
+        got = _grid_traces(v[None], rows, sizes)[0]
         for i, moments in enumerate(full):
             want = [math.fsum(c * moments[j] for j, c in enumerate(row) if c) for row in rows]
             assert got[i].tolist() == want, (k, rows)
@@ -390,7 +401,7 @@ def test_grid_pass_at_chunk_boundaries_vs_sparse_powers():
     sizes = (c - 1, c, c + 1, 2 * c + 3)
     v = sample_potential(sizes[-1], 0.5, rademacher(), seed=78)
     mixed = [(0, 0, 0, 1, 1), (0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)]  # x^3 + x^4, the deg-12 row
-    grid, mixed_grid = grid_moments(v, 13, sizes), _grid_traces(v, mixed, sizes)
+    grid, mixed_grid = grid_moments(v, 13, sizes), _grid_traces(v[None], mixed, sizes)[0]
     for row, mixed_row, n in zip(grid, mixed_grid, sizes):
         traces = sparse_trace_powers(v[:n], 13)
         assert np.all(np.abs(row - traces) <= 1e-12 * np.maximum(1.0, np.abs(row))), n
@@ -408,7 +419,7 @@ def test_low_powers_make_no_band_work(dist, monkeypatch):
     rows = [(0, 1), (0, 0, 0, 1), (0, -2, 1, 1), (1, 1)]  # x, x^3, x^3 - 2x + x^2, 1 + x
     sizes = (1, 2, 3, _CHUNK - 1, _CHUNK + 2, 2 * _CHUNK + 3)
     v = sample_potential(sizes[-1], 0.5, dist, seed=29)
-    whole = _grid_traces(v, rows, sizes)
+    whole = _grid_traces(v[None], rows, sizes)[0]
     streamed = _replica_traces(0.5, dist, rows, sizes, [29])[0][0].T
     for got_whole, got_streamed, n in zip(whole, streamed, sizes):
         want = np.array(row_traces(rows, sparse_trace_powers(v[:n], 3)))
